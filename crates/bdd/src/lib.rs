@@ -72,7 +72,7 @@ pub mod store;
 mod unique;
 
 pub use manager::{Bdd, BddError, BddManager, BddResult, VarId};
-pub use reorder::{DvoPolicy, DvoSchedule, SIFT_MAX_GROUPS, SIFT_MIN_GROUP_SIZE};
+pub use reorder::{sift_profitable, DvoPolicy, DvoSchedule, SIFT_MAX_GROUPS, SIFT_MIN_GROUP_SIZE};
 pub use shared::SharedBddManager;
 pub use stats::BddStats;
 pub use store::{BddStore, StoreBuilder, StoreError, STORE_SCHEMA};

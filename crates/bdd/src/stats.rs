@@ -53,14 +53,15 @@ pub struct BddStats {
     pub shard_contended: u64,
     /// High-water mark of live nodes in the fullest unique-table shard.
     pub shard_peak_occupancy: usize,
-    /// Sift passes run ([`sift`](crate::BddManager::sift) /
-    /// [`sift_with_roots`](crate::BddManager::sift_with_roots) calls).
+    /// Sift passes run ([`sift_with_roots`](crate::BddManager::sift_with_roots)
+    /// calls and passes [`scheduled_sift`](crate::BddManager::scheduled_sift)
+    /// ran).
     pub sift_runs: u64,
-    /// Total unique-table entries removed by profitable sift passes
-    /// (summed `before - after` over passes that shrank the table).
+    /// Total live nodes removed by sift passes (summed `before - after`
+    /// over passes that shrank the table).
     pub sift_nodes_shrunk: u64,
-    /// Sift passes that failed to shrink the table (the adaptive
-    /// backoff schedule keys off this).
+    /// Sift passes that failed [`sift_profitable`](crate::sift_profitable)
+    /// (the backoff schedule and the run-scoped trigger floor key off this).
     pub unprofitable_sifts: u64,
     /// Total wall-clock microseconds spent inside sift passes.
     pub sift_us: u64,

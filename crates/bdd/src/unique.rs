@@ -99,6 +99,23 @@ impl UniqueTable {
         }
     }
 
+    /// Looks up `(var, lo, hi)` without growing or counting collisions.
+    pub(crate) fn find(&self, var: u32, lo: u32, hi: u32, nodes: &[Node]) -> Option<u32> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.index(var, lo, hi);
+        loop {
+            let s = self.slots[i];
+            if s == EMPTY {
+                return None;
+            }
+            let n = &nodes[s as usize];
+            if n.var == var && n.lo == lo && n.hi == hi {
+                return Some(s);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
     /// Fills a vacant slot returned by [`Self::probe`]. No table mutation may
     /// happen between the probe and the insert.
     #[inline]

@@ -87,6 +87,20 @@ fn assignments() -> impl Iterator<Item = Vec<bool>> {
     (0..1u32 << NVARS).map(|bits| (0..NVARS).map(|i| bits & (1 << i) != 0).collect())
 }
 
+/// Number of internal nodes reachable from `roots`.
+fn reachable(m: &BddManager, roots: &[Bdd]) -> usize {
+    let mut seen = std::collections::HashSet::new();
+    let mut stack = roots.to_vec();
+    while let Some(n) = stack.pop() {
+        if let Some((_, lo, hi)) = m.node_info(n) {
+            if seen.insert(n) {
+                stack.extend([lo, hi]);
+            }
+        }
+    }
+    seen.len()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -158,6 +172,33 @@ proptest! {
         m.sift_with_roots(&[f], 2.0);
         let after: Vec<bool> = assignments().map(|a| m.eval(f, &a)).collect();
         prop_assert_eq!(before, after);
+    }
+
+    /// A sift pass over random roots (one passed, one protected) and random
+    /// garbage keeps every root's truth table, leaves a consistent manager
+    /// and no garbage: the store holds exactly the nodes reachable from the
+    /// roots and the protected set.
+    #[test]
+    fn sifting_keeps_roots_and_leaves_no_garbage(
+        e1 in arb_expr(NVARS),
+        e2 in arb_expr(NVARS),
+        e3 in arb_expr(NVARS),
+        growth_pct in 100u32..250,
+    ) {
+        let mut m = BddManager::new();
+        let vars: Vec<_> = (0..NVARS).map(|_| m.new_var()).collect();
+        let f = e1.build(&mut m, &vars);
+        let g = e2.build(&mut m, &vars);
+        let junk = e3.build(&mut m, &vars);
+        let _ = m.xor(junk, f).unwrap();
+        m.protect(g);
+        let truth = |m: &BddManager, h: Bdd| -> Vec<bool> { assignments().map(|a| m.eval(h, &a)).collect() };
+        let (before_f, before_g) = (truth(&m, f), truth(&m, g));
+        m.sift_with_roots(&[f], f64::from(growth_pct) / 100.0);
+        prop_assert_eq!(truth(&m, f), before_f);
+        prop_assert_eq!(truth(&m, g), before_g);
+        prop_assert_eq!(m.check_consistency(), Ok(()));
+        prop_assert_eq!(m.num_nodes(), reachable(&m, &[f, g]));
     }
 
     /// set_order to an arbitrary permutation preserves semantics.

@@ -55,7 +55,8 @@
 //! target, as the coverage engine's initial abstraction would pick — since
 //! full-COI reachability on the paper-sized processor is exactly the
 //! capacity wall the RFN loop exists to avoid. Results are written to
-//! `BENCH_mc.json` (hand-rolled JSON, no dependencies). `--smoke` shrinks
+//! `BENCH_mc.json` (hand-rolled JSON, no dependencies; a `--smoke` run
+//! writes `target/bench-smoke/BENCH_mc.json` instead). `--smoke` shrinks
 //! the register and step caps for CI; `--quick` selects the scaled-down
 //! designs (paper-sized otherwise).
 
@@ -457,13 +458,17 @@ fn main() -> ExitCode {
         &synthetic,
         smoke,
     );
-    if let Err(e) = std::fs::write("BENCH_mc.json", &json) {
-        eprintln!("mcbench: writing BENCH_mc.json: {e}");
-        return ExitCode::from(1);
+    match rfn_bench::write_bench_json("BENCH_mc.json", &json, smoke) {
+        Ok(path) => {
+            println!();
+            println!("wrote {}", path.display());
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("mcbench: writing BENCH_mc.json: {e}");
+            ExitCode::from(1)
+        }
     }
-    println!();
-    println!("wrote BENCH_mc.json");
-    ExitCode::SUCCESS
 }
 
 /// Parses a `--flag <n>` override from the command line.

@@ -19,7 +19,8 @@
 //!    trade-off the portfolio's `race` mode exploits.
 //!
 //! Results are written to `BENCH_sat.json` (hand-rolled JSON, no
-//! dependencies). `--smoke` shrinks depth bounds and time limits for CI;
+//! dependencies; a `--smoke` run writes `target/bench-smoke/BENCH_sat.json`
+//! instead). `--smoke` shrinks depth bounds and time limits for CI;
 //! `--quick` selects the scaled-down designs (paper-sized otherwise).
 //! `--design <spec>` (repeatable) replaces the builtin depth-sweep list
 //! with designs loaded through `DesignSource` — any spec form works — and
@@ -227,13 +228,17 @@ fn main() -> ExitCode {
         rfn_elapsed,
         smoke,
     );
-    if let Err(e) = std::fs::write("BENCH_sat.json", &json) {
-        eprintln!("satbench: writing BENCH_sat.json: {e}");
-        return ExitCode::from(1);
+    match rfn_bench::write_bench_json("BENCH_sat.json", &json, smoke) {
+        Ok(path) => {
+            println!();
+            println!("wrote {}", path.display());
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("satbench: writing BENCH_sat.json: {e}");
+            ExitCode::from(1)
+        }
     }
-    println!();
-    println!("wrote BENCH_sat.json");
-    ExitCode::SUCCESS
 }
 
 fn render_json(

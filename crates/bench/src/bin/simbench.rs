@@ -24,7 +24,8 @@
 //!    trace-guided engines, Section 2.3).
 //!
 //! Results are written to `BENCH_sim.json` (hand-rolled JSON, no
-//! dependencies). `--smoke` shrinks the cycle counts for CI; `--quick`
+//! dependencies; a `--smoke` run writes `target/bench-smoke/BENCH_sim.json`
+//! instead). `--smoke` shrinks the cycle counts for CI; `--quick`
 //! selects the scaled-down designs (paper-sized otherwise).
 
 use std::fmt::Write as _;
@@ -97,13 +98,17 @@ fn main() -> ExitCode {
     }
 
     let json = render_json(&rows, engine.as_ref(), smoke);
-    if let Err(e) = std::fs::write("BENCH_sim.json", &json) {
-        eprintln!("simbench: writing BENCH_sim.json: {e}");
-        return ExitCode::from(1);
+    match rfn_bench::write_bench_json("BENCH_sim.json", &json, smoke) {
+        Ok(path) => {
+            println!();
+            println!("wrote {}", path.display());
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("simbench: writing BENCH_sim.json: {e}");
+            ExitCode::from(1)
+        }
     }
-    println!();
-    println!("wrote BENCH_sim.json");
-    ExitCode::SUCCESS
 }
 
 /// Drives both kernels with the same random concrete stimulus and compares

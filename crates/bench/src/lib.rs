@@ -19,6 +19,7 @@
 
 pub mod common;
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -221,6 +222,26 @@ pub fn cluster_limit_from_args() -> Option<usize> {
 /// don't-care frontier minimization stays enabled.
 pub fn frontier_simplify_from_args() -> bool {
     !std::env::args().any(|a| a == "--no-frontier-simplify")
+}
+
+/// Writes a bench bin's JSON report: to `file` in the working directory,
+/// where the committed full-scale numbers live, or — for a `--smoke` run —
+/// under `target/bench-smoke/`, so a smoke never overwrites them. Returns
+/// the path written.
+///
+/// # Errors
+///
+/// Creating the smoke directory or writing the file failed.
+pub fn write_bench_json(file: &str, json: &str, smoke: bool) -> std::io::Result<PathBuf> {
+    let path = if smoke {
+        let dir = Path::new("target").join("bench-smoke");
+        std::fs::create_dir_all(&dir)?;
+        dir.join(file)
+    } else {
+        PathBuf::from(file)
+    };
+    std::fs::write(&path, json)?;
+    Ok(path)
 }
 
 /// Formats a duration as seconds with one decimal.

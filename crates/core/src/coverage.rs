@@ -238,6 +238,12 @@ fn analyze_coverage_inner(
         classes[bits as usize] = Class::Reachable;
     }
 
+    // One set of reach options for the whole analysis, so the reorder
+    // trigger floor outlives each iteration's fresh manager (see
+    // `ReachOptions::back_off_reorder`).
+    let mut reach_opts = options.reach.clone();
+    reach_opts.common.trace = ctx.clone();
+    reach_opts.common.budget = budget.clone();
     'outer: for _ in 0..options.max_iterations {
         iterations += 1;
         let _it_span = ctx.span_with(
@@ -269,12 +275,10 @@ fn analyze_coverage_inner(
             Err(e) => return Err(e.into()),
         };
         // Full fixpoint (no early target stop: the projection needs it all).
-        let mut reach_opts = options.reach.clone();
-        reach_opts.common.trace = ctx.clone();
-        reach_opts.common.budget = budget.clone();
         let zero = model.manager_ref().zero();
         let reach = forward_reach(&mut model, zero, &reach_opts)?;
         bdd_stats.merge(&reach.stats);
+        reach_opts.back_off_reorder(&reach.stats);
         if reach.verdict != ReachVerdict::FixpointProved {
             break; // out of capacity on this abstraction
         }

@@ -315,7 +315,9 @@ pub fn build_engines<'n>(
 ///
 /// # Errors
 ///
-/// The first lane error in lane order, after all lanes have stopped.
+/// The first lane error in lane order, after all lanes have stopped. A
+/// lane cancelled because another lane won may fail on its way out; such
+/// an error is dropped in favour of the winning verdict.
 pub fn run_engines(
     engines: &mut [Box<dyn Engine + '_>],
     ctx: &TraceCtx,
@@ -374,16 +376,12 @@ pub fn run_engines(
 
     let mut winner: Option<(&'static str, Verdict)> = None;
     let mut reasons = Vec::new();
-    let mut first_err = None;
+    let mut errors = Vec::new();
     let mut merged = EngineOutcome::default();
-    for (name, out, events) in results {
+    for ((name, out, events), token) in results.into_iter().zip(&tokens) {
         ctx.absorb(events);
         match out {
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
+            Err(e) => errors.push((token.is_cancelled(), e)),
             Ok(out) => {
                 merged.stats = merged.stats.or(out.stats);
                 merged.plain = merged.plain.or(out.plain);
@@ -399,7 +397,13 @@ pub fn run_engines(
             }
         }
     }
-    if let Some(e) = first_err {
+    // A lane the winner cancelled may fail on its way out instead of
+    // reporting an inconclusive verdict: that error echoes the win and must
+    // not replace it.
+    if let Some((_, e)) = errors
+        .into_iter()
+        .find(|(cancelled, _)| !(*cancelled && winner.is_some()))
+    {
         return Err(e);
     }
     match winner {
@@ -524,6 +528,47 @@ mod tests {
         // Cancelling the losers' child tokens must not leak into the shared
         // parent budget.
         assert!(!shared.token().is_cancelled());
+    }
+
+    /// Fails with a kernel error once cancelled, as a lane caught inside a
+    /// BDD operation would.
+    struct FailsWhenCancelled {
+        budget: Budget,
+    }
+
+    impl Engine for FailsWhenCancelled {
+        fn name(&self) -> &'static str {
+            "fails_when_cancelled"
+        }
+        fn budget(&self) -> Budget {
+            self.budget.clone()
+        }
+        fn run(&mut self, budget: Budget, ctx: &mut TraceCtx) -> Result<EngineOutcome, RfnError> {
+            Stubborn {
+                budget: self.budget.clone(),
+            }
+            .run(budget, ctx)?;
+            Err(RfnError::at(
+                crate::Phase::Hybrid,
+                rfn_mc::McError::Bdd(rfn_bdd::BddError::Cancelled),
+            ))
+        }
+    }
+
+    #[test]
+    fn race_winner_is_not_replaced_by_a_cancelled_loser_error() {
+        let shared = Budget::unlimited();
+        let mut lanes: Vec<Box<dyn Engine>> = vec![
+            Box::new(FailsWhenCancelled {
+                budget: shared.clone(),
+            }),
+            Box::new(Quick {
+                budget: shared,
+                won_at: Arc::new(Mutex::new(None)),
+            }),
+        ];
+        let out = run_engines(&mut lanes, &TraceCtx::disabled()).unwrap();
+        assert!(matches!(out.verdict, Verdict::Proved));
     }
 
     #[test]

@@ -490,6 +490,12 @@ impl<'n> Rfn<'n> {
             }
         }
 
+        // One set of reach options for the whole run, so the reorder
+        // trigger floor outlives each iteration's fresh manager and backs
+        // off after unprofitable sifts (see `back_off_reorder`).
+        let mut reach_opts = self.options.reach.clone();
+        reach_opts.common.trace = ctx.clone();
+        reach_opts.common.budget = budget.clone();
         for iteration in start_iteration..self.options.max_iterations {
             stats.iterations = iteration + 1;
             stats.abstract_registers = abstraction.len();
@@ -551,12 +557,10 @@ impl<'n> Rfn<'n> {
                     }
                 }
             };
-            let mut reach_opts = self.options.reach.clone();
-            reach_opts.common.trace = ctx.clone();
-            reach_opts.common.budget = budget.clone();
             let reach = forward_reach(&mut model, targets, &reach_opts)
                 .map_err(|e| RfnError::at(Phase::Reach, e))?;
             stats.bdd.merge(&reach.stats);
+            reach_opts.back_off_reorder(&reach.stats);
             let hit_step = match reach.verdict {
                 ReachVerdict::FixpointProved => {
                     self.log(
@@ -591,7 +595,7 @@ impl<'n> Rfn<'n> {
             hybrid_atpg.phase = GovPhase::Hybrid;
             let traces: Vec<rfn_netlist::Trace> = {
                 let mut hspan = ctx.span("hybrid");
-                let reconstructed = hybrid_traces(
+                let reconstructed = match hybrid_traces(
                     self.netlist,
                     &view,
                     &mut model,
@@ -599,7 +603,22 @@ impl<'n> Rfn<'n> {
                     targets,
                     &hybrid_atpg,
                     self.options.max_abstract_traces.max(1),
-                )?;
+                ) {
+                    // Kernel errors are budget exhaustion (deadline, ceiling,
+                    // cancellation): an ordinary outcome, as in reach.
+                    Err(RfnError::Mc {
+                        source: rfn_mc::McError::Bdd(e),
+                        ..
+                    }) => {
+                        return Ok(self.inconclusive(
+                            ctx,
+                            &format!("hybrid trace reconstruction out of budget ({e})"),
+                            stats,
+                            start,
+                        ))
+                    }
+                    r => r?,
+                };
                 if reconstructed.is_empty() {
                     return Ok(self.inconclusive(
                         ctx,
@@ -1256,6 +1275,97 @@ mod tests {
             Rfn::new(&n, &bad, RfnOptions::default()),
             Err(RfnError::BadProperty(_))
         ));
+    }
+
+    /// One traced `sift` point: the RFN iteration it ran in, the live node
+    /// counts around the pass, and the trigger floor of that iteration.
+    #[derive(Debug)]
+    struct SiftPoint {
+        iteration: u64,
+        before: usize,
+        after: usize,
+        floor: usize,
+    }
+
+    fn sift_points(events: &[rfn_trace::Event]) -> Vec<SiftPoint> {
+        use rfn_trace::{EventKind, Value};
+        let field = |fields: &[(String, Value)], key: &str| -> u64 {
+            match fields.iter().find(|(k, _)| k == key) {
+                Some((_, Value::U64(v))) => *v,
+                other => panic!("field {key}: {other:?}"),
+            }
+        };
+        let mut iteration = 0;
+        let mut out = Vec::new();
+        for e in events {
+            match &e.kind {
+                EventKind::Enter { name, fields, .. } if name == "iteration" => {
+                    iteration = field(fields, "n");
+                }
+                EventKind::Point { name, fields, .. } if name == "sift" => out.push(SiftPoint {
+                    iteration,
+                    before: field(fields, "live_before") as usize,
+                    after: field(fields, "live_after") as usize,
+                    floor: field(fields, "floor") as usize,
+                }),
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// Run-scoped reorder backoff: every iteration builds a fresh manager
+    /// and schedule, but an unprofitable sift pass doubles the trigger
+    /// floor for the rest of the run, so no later iteration sifts at or
+    /// below the doubled floor.
+    #[test]
+    fn unprofitable_sifts_raise_the_floor_for_later_iterations() {
+        // The quick processor's `mutex` abstractions hold ~2,600 live nodes
+        // from iteration 2 on; sifting them gains under 1/16, so with a
+        // floor of 2,000 only the first such iteration may sift.
+        let design = rfn_designs::processor_module(&rfn_designs::ProcessorParams {
+            width: 16,
+            regfile_words: 8,
+            store_entries: 4,
+            cache_lines: 4,
+            pipe_stages: 2,
+            multipliers: 2,
+            stall_threshold: 27,
+        });
+        let property = design.property("mutex").unwrap();
+        let sink = Arc::new(rfn_trace::MemorySink::new());
+        let mut options = RfnOptions::default().with_trace(TraceCtx::new(sink.clone()));
+        options.reach.reorder_threshold = 2_000;
+        let outcome = Rfn::new(&design.netlist, property, options)
+            .unwrap()
+            .run()
+            .unwrap();
+        let RfnOutcome::Proved { stats } = outcome else {
+            panic!("mutex must be proved, got {outcome:?}");
+        };
+        let sifts = sift_points(&sink.take());
+        let mut raised: Option<(u64, usize)> = None;
+        for s in &sifts {
+            if let Some((first_iteration, floor)) = raised {
+                if s.iteration >= first_iteration {
+                    assert!(
+                        s.floor >= floor && s.before > floor,
+                        "iteration {} sifted at {} live nodes (floor {}) below the raised floor {floor}",
+                        s.iteration,
+                        s.before,
+                        s.floor
+                    );
+                }
+            }
+            if raised.is_none() && !rfn_bdd::sift_profitable(s.before, s.after) {
+                raised = Some((s.iteration + 1, 2 * s.floor));
+            }
+        }
+        let (first_iteration, _) = raised.expect("no unprofitable sift: the test checks nothing");
+        assert!(
+            stats.iterations as u64 > first_iteration,
+            "the run ended before the raised floor could apply"
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::time::Instant;
 use rfn_bdd::{Bdd, BddError, BddStats, DvoPolicy};
 use rfn_govern::GovPhase;
 
-use crate::reach::{or_all, record_budget, simplify_frontier};
+use crate::reach::{or_all, record_budget, reorder_step, simplify_frontier};
 use crate::{AbortReason, McError, ReachOptions, ReachVerdict, SymbolicModel};
 
 /// Per-target outcome of a [`forward_reach_multi`] run.
@@ -466,19 +466,12 @@ fn multi_loop(
             });
         }
         frontier = new;
-        if dvo.should_sift(model.manager_ref().num_nodes()) {
-            let before = model.manager_ref().num_nodes();
-            let mut roots = model.persistent_roots();
-            roots.extend(rings.iter().copied());
-            roots.push(reached);
-            roots.extend(targets.iter().copied());
-            roots.push(frontier);
-            model.manager().sift_with_roots(&roots, options.max_growth);
-            if let Some(p) = par.as_mut() {
-                p.invalidate();
-            }
-            dvo.record_sift(before, model.manager_ref().num_nodes());
-        }
+        let held = rings
+            .iter()
+            .chain(targets)
+            .copied()
+            .chain([reached, frontier]);
+        reorder_step(model, dvo.as_mut(), held, options, par);
     }
 }
 

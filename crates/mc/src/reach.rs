@@ -3,7 +3,7 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use rfn_bdd::{Bdd, BddError, BddStats, DvoPolicy};
+use rfn_bdd::{Bdd, BddError, BddStats, DvoPolicy, DvoSchedule};
 use rfn_govern::{Budget, Exhaustion, GovPhase};
 use rfn_trace::TraceCtx;
 
@@ -16,7 +16,9 @@ pub struct ReachOptions {
     pub max_steps: usize,
     /// Enable dynamic variable reordering between images.
     pub reorder: bool,
-    /// Node count that triggers the first reorder; doubles after each one.
+    /// The reorder trigger floor: no schedule sifts while the live node
+    /// count is at or below it. Loops that run one fixpoint per iteration
+    /// carry it across the run (see [`ReachOptions::back_off_reorder`]).
     pub reorder_threshold: usize,
     /// Sifting growth bound.
     pub max_growth: f64,
@@ -163,6 +165,17 @@ impl ReachOptions {
     pub fn with_bdd_threads(mut self, threads: usize) -> Self {
         self.bdd_threads = threads.max(1);
         self
+    }
+
+    /// Run-scoped reorder backoff for loops that run one fixpoint per
+    /// iteration on a fresh manager (RFN, coverage): given the stats of the
+    /// manager one fixpoint ran on, the trigger floor doubles once for each
+    /// of its sift passes that failed [`rfn_bdd::sift_profitable`], so a
+    /// run that stops gaining from reordering stops paying for it.
+    pub fn back_off_reorder(&mut self, stats: &BddStats) {
+        for _ in 0..stats.unprofitable_sifts {
+            self.reorder_threshold = self.reorder_threshold.saturating_mul(2);
+        }
     }
 
     /// Attaches a structured-event context; each `forward_reach` call wraps
@@ -680,23 +693,46 @@ fn reach_loop(
             }
         }
         frontier = new;
-        if dvo.should_sift(model.manager_ref().num_nodes()) {
-            let before = model.manager_ref().num_nodes();
-            let mut roots = model.persistent_roots();
-            roots.extend(rings.iter().copied());
-            roots.push(reached);
-            roots.push(targets);
-            roots.push(frontier);
-            model.manager().sift_with_roots(&roots, options.max_growth);
-            // The shared manager's variable order no longer matches: drop it
-            // and every exported handle. The next image rebuilds both under
-            // the new order.
-            if let Some(p) = par.as_mut() {
-                p.invalidate();
-            }
-            dvo.record_sift(before, model.manager_ref().num_nodes());
-        }
+        let held = rings.iter().copied().chain([reached, targets, frontier]);
+        reorder_step(model, dvo.as_mut(), held, options, par);
     }
+}
+
+/// The reorder step both reach loops run after each image (see
+/// [`BddManager::scheduled_sift`](rfn_bdd::BddManager::scheduled_sift)):
+/// the schedule is asked at the allocated node count, and only if it says
+/// yes does a collection with the model's roots plus `held` let it decide
+/// at the live count. A pass that runs is traced as a `sift` point with the
+/// live counts around it and the trigger floor.
+pub(crate) fn reorder_step(
+    model: &mut SymbolicModel<'_>,
+    dvo: &mut dyn DvoSchedule,
+    held: impl IntoIterator<Item = Bdd>,
+    options: &ReachOptions,
+    par: &mut Option<crate::ParImage>,
+) {
+    let mut roots = model.persistent_roots();
+    roots.extend(held);
+    let Some((before, after)) = model
+        .manager()
+        .scheduled_sift(&roots, options.max_growth, dvo)
+    else {
+        return;
+    };
+    // The shared manager's variable order no longer matches: drop it and
+    // every exported handle. The next image rebuilds both under the new
+    // order.
+    if let Some(p) = par.as_mut() {
+        p.invalidate();
+    }
+    options.common.trace.point(
+        "sift",
+        vec![
+            ("live_before".to_owned(), before.into()),
+            ("live_after".to_owned(), after.into()),
+            ("floor".to_owned(), options.reorder_threshold.into()),
+        ],
+    );
 }
 
 /// Union of a ring sequence (used when a warm-start scan truncates the
@@ -1051,6 +1087,37 @@ mod tests {
         let r = forward_reach(&mut m, zero, &opts).unwrap();
         assert_eq!(r.verdict, ReachVerdict::FixpointProved);
         assert_eq!(r.stats.auto_gc_runs, 0);
+    }
+
+    /// The reorder trigger counts live nodes, not garbage: a manager whose
+    /// allocated count clears the floor only because of dead nodes collects
+    /// once and does not sift.
+    #[test]
+    fn garbage_above_the_floor_does_not_trigger_a_sift() {
+        let (n, _) = counter3();
+        let mut m = model(&n);
+        // Dead nodes: (x0∧y0) ∨ … ∨ (x7∧y7) under the order x0…x7 y0…y7
+        // is exponential in 8, and every intermediate dies with it.
+        let vars: Vec<_> = (0..16).map(|_| m.manager().new_var()).collect();
+        let mut junk = m.manager_ref().zero();
+        for i in 0..8 {
+            let a = m.manager().var(vars[i]);
+            let b = m.manager().var(vars[i + 8]);
+            let ab = m.manager().and(a, b).unwrap();
+            junk = m.manager().or(junk, ab).unwrap();
+        }
+        let _ = junk;
+        let opts = ReachOptions {
+            reorder_threshold: 400,
+            ..ReachOptions::default()
+        };
+        assert!(m.manager_ref().num_nodes() > 2 * opts.reorder_threshold);
+        let zero = m.manager_ref().zero();
+        let r = forward_reach(&mut m, zero, &opts).unwrap();
+        assert_eq!(r.verdict, ReachVerdict::FixpointProved);
+        assert_eq!(r.stats.sift_runs, 0, "garbage triggered a sift");
+        assert_eq!(r.stats.gc_runs, 1, "the trigger did not collect");
+        assert!(m.manager_ref().num_nodes() < opts.reorder_threshold);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! verdicts, iteration counts and abstractions at any worker count, in input
 //! order.
 
-use rfn::core::{parallel_map, Rfn, RfnOptions, RfnOutcome};
+use rfn::core::{parallel_map, EngineKind, Rfn, RfnOptions, RfnOutcome, VerifySession};
 use rfn::designs::small::{
     round_robin_arbiter, saturating_counter, traffic_light, wrapping_counter,
 };
-use rfn::designs::Design;
+use rfn::designs::{fuzz_design, Design};
 use rfn::netlist::Property;
 
 /// The semantic content of an outcome, with wall-clock measurements removed.
@@ -80,4 +80,31 @@ fn portfolio_results_are_deterministic_across_thread_counts() {
     assert!(serial
         .iter()
         .any(|v| matches!(v, Verdict::Falsified { .. })));
+}
+
+/// A race returns its winner's verdict even when a losing lane fails on
+/// its way out after the winner cancelled it (an RFN lane stopped during
+/// hybrid trace reconstruction surfaces the cancelled BDD operation as an
+/// error).
+#[test]
+fn race_never_errors_on_fuzz_designs() {
+    let errors: Vec<String> = parallel_map(500, 2, |seed| {
+        let design = fuzz_design(seed as u64);
+        VerifySession::new(&design.netlist)
+            .engine(EngineKind::Race)
+            .properties(design.properties.iter().cloned())
+            .threads(1)
+            .run()
+            .err()
+            .map(|e| format!("seed {seed}: {e}"))
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(
+        errors.is_empty(),
+        "{} of 500 race sessions failed, e.g. {:?}",
+        errors.len(),
+        errors.first()
+    );
 }
