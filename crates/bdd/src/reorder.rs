@@ -382,7 +382,7 @@ impl BddManager {
     /// A scheduled pass is also bounded in work: it may spend at most as
     /// many unique-table probes as the operations since the previous pass
     /// did (since the manager started, for the first), or
-    /// [`SIFT_MIN_ALLOWANCE`] if that is more, plus the walk that
+    /// `SIFT_MIN_ALLOWANCE` (2^20) if that is more, plus the walk that
     /// parks the group in flight. Sifting then costs about as much as the
     /// work it is meant to speed up, at most. On a
     /// multi-million-node table one full pass walks every group past every

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use rfn_atpg::AtpgOptions;
 use rfn_bench::{row, rule, BenchTrace, Scale};
-use rfn_core::{hybrid_trace, HybridOutcome};
+use rfn_core::HybridEngine;
 use rfn_designs::{fifo_controller, processor_module};
 use rfn_mc::{forward_reach, ModelSpec, ReachOptions, SymbolicModel};
 use rfn_netlist::{
@@ -142,10 +142,12 @@ fn demo_hybrid_classification(netlist: &Netlist, property: &Property, ctx: Trace
         trace: ctx,
         ..AtpgOptions::default()
     };
-    match hybrid_trace(netlist, &view, &mut model, &reach, targets, &atpg_opts)
-        .expect("hybrid runs")
-    {
-        HybridOutcome::Trace(trace, stats) => {
+    let engine = HybridEngine::new(netlist, &view, &mut model, &atpg_opts).expect("engine builds");
+    let (traces, stats) = engine
+        .traces(&mut model, &reach.rings, step, targets, 1)
+        .expect("hybrid runs");
+    match traces.first() {
+        Some(trace) => {
             println!(
                 "hybrid engine on `fifo` (target: full flag, depth {step}): \
                  {} trace cycles",
@@ -168,7 +170,7 @@ fn demo_hybrid_classification(netlist: &Netlist, property: &Property, ctx: Trace
                 stats.abstract_inputs, stats.min_cut_inputs
             );
         }
-        HybridOutcome::Failed(stats) => {
+        None => {
             println!("hybrid demo failed: {stats:?}");
         }
     }

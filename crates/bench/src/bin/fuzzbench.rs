@@ -26,12 +26,16 @@
 //! - a falsification at depth `d` contradicts a BMC `BoundedSafe` bound
 //!   `>= d`.
 //!
-//! Inconclusive outcomes (budget exhaustion) never count against agreement.
-//! On a disagreement the harness shrinks the design with
-//! [`rfn_designs::shrink_design`] while the disagreement persists, prints
+//! An inconclusive outcome never contradicts another engine, but it is not
+//! free either: the harness prints each engine's inconclusive count, and an
+//! RFN inconclusive on a property plain MC decided fails the run unless
+//! RFN's reason is budget exhaustion (plain MC works on the whole cone of
+//! influence, so RFN's exact abstraction can always decide it too).
+//! On a failure the harness shrinks the design with
+//! [`rfn_designs::shrink_design`] while the failure persists, prints
 //! the seed and the shrunken statistics, and — with `--emit-dir` — writes
 //! the repro as an `.aag` file that `rfn verify <file> --engine race`
-//! replays directly. The exit code is nonzero if any seed disagreed.
+//! replays directly. The exit code is nonzero if any seed failed.
 //!
 //! `--quick` runs the 500-seed CI leg; the default sweep is 2000 seeds.
 
@@ -56,11 +60,15 @@ enum Outcome {
     Falsified(usize),
     /// No counterexample up to the given depth (BMC's bounded verdict).
     BoundedSafe(usize),
-    /// Budget exhausted without a verdict; never counts as disagreement.
+    /// No verdict; never contradicts another engine.
     Unknown,
 }
 
 impl Outcome {
+    fn decided(self) -> bool {
+        matches!(self, Outcome::Safe | Outcome::Falsified(_))
+    }
+
     fn describe(self) -> String {
         match self {
             Outcome::Safe => "proved".to_owned(),
@@ -92,15 +100,27 @@ fn consistent(a: Outcome, b: Outcome) -> bool {
 /// can produce.
 const BMC_DEPTH: usize = 300;
 
-fn run_rfn(design: &Design, p: &Property, limit: Duration) -> Outcome {
+/// Whether an RFN inconclusive reason is budget exhaustion (wall clock,
+/// node or memory ceiling, backtrack allowance, iteration limit,
+/// cancellation) rather than an engine giving up.
+fn budget_exhausted(reason: &str) -> bool {
+    ["limit", "budget", "capacity", "cancelled", "exhausted"]
+        .iter()
+        .any(|word| reason.contains(word))
+}
+
+/// RFN's outcome, with its reason when inconclusive.
+fn run_rfn(design: &Design, p: &Property, limit: Duration) -> (Outcome, Option<String>) {
     let opts = RfnOptions::default().with_time_limit(limit);
     let run = Rfn::new(&design.netlist, p, opts).and_then(|rfn| rfn.run());
     match run {
-        Ok(RfnOutcome::Proved { .. }) => Outcome::Safe,
+        Ok(RfnOutcome::Proved { .. }) => (Outcome::Safe, None),
         // The trace is a validated concrete counterexample whose last cycle
         // is the violation: depth = cycles - 1.
-        Ok(RfnOutcome::Falsified { trace, .. }) => Outcome::Falsified(trace.num_cycles() - 1),
-        Ok(RfnOutcome::Inconclusive { .. }) => Outcome::Unknown,
+        Ok(RfnOutcome::Falsified { trace, .. }) => {
+            (Outcome::Falsified(trace.num_cycles() - 1), None)
+        }
+        Ok(RfnOutcome::Inconclusive { reason, .. }) => (Outcome::Unknown, Some(reason)),
         Err(e) => panic!("rfn engine error (a bug, not a verdict): {e}"),
     }
 }
@@ -131,28 +151,43 @@ fn run_bmc(design: &Design, p: &Property, limit: Duration) -> Outcome {
     }
 }
 
-/// Runs all three engines on one property and returns the first
-/// inconsistent pair, if any.
-fn check_property(design: &Design, prop_index: usize, limit: Duration) -> Result<(), String> {
+/// The engines, in the order of [`check_property`]'s outcomes.
+const ENGINES: [&str; 3] = ["rfn", "plain", "bmc"];
+
+/// Runs all three engines on one property. Returns their outcomes, and an
+/// error naming the first inconsistent pair or an RFN inconclusive that
+/// is not budget exhaustion on a property plain MC decided.
+fn check_property(
+    design: &Design,
+    prop_index: usize,
+    limit: Duration,
+) -> ([Outcome; 3], Result<(), String>) {
     let p = &design.properties[prop_index];
-    let outcomes = [
-        ("rfn", run_rfn(design, p, limit)),
-        ("plain", run_plain(design, p, limit)),
-        ("bmc", run_bmc(design, p, limit)),
-    ];
-    for (i, &(an, a)) in outcomes.iter().enumerate() {
-        for &(bn, b) in &outcomes[i + 1..] {
+    let (rfn, rfn_reason) = run_rfn(design, p, limit);
+    let outcomes = [rfn, run_plain(design, p, limit), run_bmc(design, p, limit)];
+    let named: Vec<_> = ENGINES.iter().zip(outcomes).collect();
+    for (i, &(an, a)) in named.iter().enumerate() {
+        for &(bn, b) in &named[i + 1..] {
             if !consistent(a, b) {
-                return Err(format!(
+                let msg = format!(
                     "property `{}`: {an} {} vs {bn} {}",
                     p.name,
                     a.describe(),
                     b.describe()
-                ));
+                );
+                return (outcomes, Err(msg));
             }
         }
     }
-    Ok(())
+    if let Some(reason) = rfn_reason.filter(|r| !budget_exhausted(r) && outcomes[1].decided()) {
+        let msg = format!(
+            "property `{}`: rfn inconclusive ({reason}) vs plain {}",
+            p.name,
+            outcomes[1].describe()
+        );
+        return (outcomes, Err(msg));
+    }
+    (outcomes, Ok(()))
 }
 
 fn usize_flag(args: &[String], flag: &str) -> Option<usize> {
@@ -180,19 +215,32 @@ fn main() -> ExitCode {
 
     let mut failing_seeds: BTreeSet<u64> = BTreeSet::new();
     let mut properties_checked = 0usize;
+    let mut inconclusive = [0usize; 3];
+    let inconclusive_counts = |counts: &[usize; 3]| {
+        let per_engine: Vec<String> = ENGINES
+            .iter()
+            .zip(counts)
+            .map(|(engine, n)| format!("{engine} {n}"))
+            .collect();
+        format!("inconclusive: {}", per_engine.join(", "))
+    };
     for seed in start..start + seeds as u64 {
         let design = fuzz_design(seed);
         for prop_index in 0..design.properties.len() {
             properties_checked += 1;
-            let Err(msg) = check_property(&design, prop_index, limit) else {
+            let (outcomes, checked) = check_property(&design, prop_index, limit);
+            for (count, outcome) in inconclusive.iter_mut().zip(outcomes) {
+                *count += usize::from(outcome == Outcome::Unknown);
+            }
+            let Err(msg) = checked else {
                 continue;
             };
             failing_seeds.insert(seed);
-            eprintln!("fuzzbench: DISAGREEMENT at seed {seed}: {msg}");
-            // Shrink while the engines still disagree, then report (and
+            eprintln!("fuzzbench: FAILURE at seed {seed}: {msg}");
+            // Shrink while the failure persists, then report (and
             // optionally dump) the minimal repro.
             let shrunk = shrink_design(&design, prop_index, |candidate| {
-                check_property(candidate, 0, limit).is_err()
+                check_property(candidate, 0, limit).1.is_err()
             });
             eprintln!(
                 "fuzzbench: seed {seed} shrunk to {} inputs, {} registers, {} gates \
@@ -220,24 +268,27 @@ fn main() -> ExitCode {
         }
         if (seed + 1 - start).is_multiple_of(100) {
             println!(
-                "fuzzbench: {}/{seeds} seeds, {properties_checked} properties, {} disagreements",
+                "fuzzbench: {}/{seeds} seeds, {properties_checked} properties, {} failing seeds, {}",
                 seed + 1 - start,
-                failing_seeds.len()
+                failing_seeds.len(),
+                inconclusive_counts(&inconclusive)
             );
         }
     }
 
     if failing_seeds.is_empty() {
         println!(
-            "fuzzbench: OK — {seeds} seeds, {properties_checked} properties, all engines agree"
+            "fuzzbench: OK — {seeds} seeds, {properties_checked} properties, all engines agree, {}",
+            inconclusive_counts(&inconclusive)
         );
         ExitCode::SUCCESS
     } else {
         let listed: Vec<String> = failing_seeds.iter().map(|s| s.to_string()).collect();
         eprintln!(
-            "fuzzbench: FAILED — {} disagreeing seed(s): {}",
+            "fuzzbench: FAILED — {} failing seed(s): {}; {}",
             failing_seeds.len(),
-            listed.join(", ")
+            listed.join(", "),
+            inconclusive_counts(&inconclusive)
         );
         ExitCode::from(1)
     }

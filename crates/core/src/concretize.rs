@@ -220,8 +220,9 @@ pub fn concretize_cube_with_stats(
 }
 
 /// Validates an error-trace cube by concrete simulation: unassigned inputs
-/// are driven low, the design starts from reset, and the property signal
-/// must assert at the final cycle.
+/// are driven low, the design starts from reset (a register with an
+/// unknown reset takes the trace's cycle-0 value, or low where the trace
+/// leaves it open), and the property signal must assert at the final cycle.
 ///
 /// Runs on the packed kernel (values broadcast to all lanes, lane 0 read
 /// back).
@@ -259,12 +260,8 @@ pub fn validate_trace_cube(
     }
     let mut sim = PackedSim::new(netlist).map_err(|e| RfnError::at(crate::Phase::Concretize, e))?;
     sim.reset();
-    // Registers with unknown reset values take the trace's word for their
-    // initial value (any concrete value is a legal reset).
-    for (s, v) in trace.steps()[0].state.iter() {
-        if netlist.is_register(s) && netlist.register_init(s).is_none() {
-            sim.set_all(s, Tv::from(v));
-        }
+    for (r, v) in replay_resets(netlist, &trace.steps()[0].state).iter() {
+        sim.set_all(r, Tv::from(v));
     }
     for (i, step) in trace.steps().iter().enumerate() {
         // Drive every input: trace value if present, low otherwise.
@@ -285,6 +282,21 @@ pub fn validate_trace_cube(
     Ok(target
         .iter()
         .all(|(s, v)| sim.lane(s, 0).to_bool() == Some(v)))
+}
+
+/// The cycle-0 value a concrete replay gives every register whose reset is
+/// unknown: the value `first_state` pins, or low where it pins none, just
+/// as replay drives unpinned inputs low. Any value is a legal reset, while
+/// leaving such a register at `X` can lose a real counterexample:
+/// three-valued simulation cannot resolve reconvergent `X`, so an XNOR of
+/// the register with itself stays `X` instead of 1.
+pub(crate) fn replay_resets(netlist: &Netlist, first_state: &Cube) -> Cube {
+    netlist
+        .registers()
+        .iter()
+        .filter(|&&r| netlist.register_init(r).is_none())
+        .map(|&r| (r, first_state.get(r).unwrap_or(false)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -18,17 +18,19 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use rfn_atpg::AtpgOptions;
+use rfn_bdd::{Bdd, BddError};
 use rfn_govern::{Budget, GovPhase};
-use rfn_mc::{
-    forward_reach, CommonOptions, ModelSpec, ReachOptions, ReachResult, ReachVerdict, SymbolicModel,
+use rfn_mc::{forward_reach, CommonOptions, ModelSpec, ReachOptions, ReachVerdict, SymbolicModel};
+use rfn_netlist::{
+    transitive_fanin, Abstraction, Coi, CoverageSet, Cube, Netlist, SignalId, Trace,
 };
-use rfn_netlist::{transitive_fanin, Abstraction, Coi, CoverageSet, Cube, Netlist, SignalId};
 use rfn_sim::{RandomSimOptions, Simulator};
 use rfn_trace::TraceCtx;
 
+use crate::concretize::replay_resets;
 use crate::{
-    concretize_cube, hybrid_trace, refine_with_roots, ConcretizeOptions, ConcretizeOutcome,
-    HybridOutcome, Phase, RefineOptions, RfnError,
+    concretize_cube, refine_with_roots, ConcretizeOptions, ConcretizeOutcome, HybridEngine, Phase,
+    RefineOptions, RfnError,
 };
 
 /// Configuration for [`analyze_coverage`].
@@ -282,7 +284,8 @@ fn analyze_coverage_inner(
         if reach.verdict != ReachVerdict::FixpointProved {
             break; // out of capacity on this abstraction
         }
-        // Project and classify.
+        // Project and classify the states still unknown: earlier
+        // iterations' verdicts are final.
         let proj = model.project_to(reach.reached, &set.signals)?;
         let mut assignment = vec![false; model.manager_ref().num_vars()];
         let cov_vars: Vec<_> = set
@@ -296,14 +299,16 @@ fn analyze_coverage_inner(
             .collect();
         let mut frontier_unknown: Vec<u64> = Vec::new();
         for bits in 0..total {
+            if classes[bits as usize] != Class::Unknown {
+                continue;
+            }
             for (k, &v) in cov_vars.iter().enumerate() {
                 assignment[v.index()] = bits & (1 << k) != 0;
             }
-            let in_proj = model.manager_ref().eval(proj, &assignment);
-            match classes[bits as usize] {
-                Class::Unknown if !in_proj => classes[bits as usize] = Class::Unreachable,
-                Class::Unknown if in_proj => frontier_unknown.push(bits),
-                _ => {}
+            if model.manager_ref().eval(proj, &assignment) {
+                frontier_unknown.push(bits);
+            } else {
+                classes[bits as usize] = Class::Unreachable;
             }
         }
         if frontier_unknown.is_empty() {
@@ -317,6 +322,13 @@ fn analyze_coverage_inner(
         let exact = view.pseudo_inputs().is_empty();
         let mut refined = false;
         let mut stuck = false;
+        let mut hybrid_atpg = options.hybrid_atpg.clone();
+        hybrid_atpg.trace = ctx.clone();
+        hybrid_atpg.budget = budget.clone();
+        hybrid_atpg.phase = GovPhase::Hybrid;
+        // Built at the first frontier state that needs a trace, then shared
+        // by the rest (see `HybridEngine` for why reuse is exact).
+        let mut engine: Option<HybridEngine<'_>> = None;
         for &bits in &frontier_unknown {
             if classes[bits as usize] != Class::Unknown {
                 continue; // an earlier replay covered it
@@ -324,49 +336,31 @@ fn analyze_coverage_inner(
             if budget.check().is_err() {
                 break 'outer;
             }
-            let target_cube: Cube = set
-                .signals
-                .iter()
-                .enumerate()
-                .map(|(k, &s)| (s, bits & (1 << k) != 0))
-                .collect();
+            let target_cube = coverage_cube(set, bits);
             let target_bdd = model.cube_to_bdd(&target_cube)?;
-            // First ring containing the state.
-            let mut hit_step = None;
-            for (j, &ring) in reach.rings.iter().enumerate() {
-                let inter = match model.manager().and(ring, target_bdd) {
-                    Ok(b) => b,
-                    Err(_) => break 'outer,
-                };
-                if inter != model.manager_ref().zero() {
-                    hit_step = Some(j);
-                    break;
-                }
-            }
+            let Ok(hit_step) = first_ring(&mut model, &reach.rings, target_bdd) else {
+                break 'outer;
+            };
             let Some(step) = hit_step else {
                 // In the projection but in no ring: cannot happen for a
                 // completed fixpoint; bail defensively.
                 stuck = true;
                 break;
             };
-            let synth = ReachResult {
-                verdict: ReachVerdict::TargetHit { step },
-                abort: None,
-                rings: reach.rings.clone(),
-                reached: reach.reached,
-                steps: reach.steps,
-                peak_nodes: reach.peak_nodes,
-                stats: reach.stats,
-            };
-            let mut hybrid_atpg = options.hybrid_atpg.clone();
-            hybrid_atpg.trace = ctx.clone();
-            hybrid_atpg.budget = budget.clone();
-            hybrid_atpg.phase = GovPhase::Hybrid;
             let abstract_trace = {
-                let _hspan = ctx.span("hybrid");
-                match hybrid_trace(netlist, &view, &mut model, &synth, target_bdd, &hybrid_atpg)? {
-                    HybridOutcome::Trace(t, _) => t,
-                    HybridOutcome::Failed(_) => {
+                let mut hspan = ctx.span("hybrid");
+                let engine = match &mut engine {
+                    Some(engine) => engine,
+                    empty => {
+                        empty.insert(HybridEngine::new(netlist, &view, &mut model, &hybrid_atpg)?)
+                    }
+                };
+                let (traces, stats) =
+                    engine.traces(&mut model, &reach.rings, step, target_bdd, 1)?;
+                stats.record(&mut hspan, &traces, step);
+                match traces.into_iter().next() {
+                    Some(t) => t,
+                    None => {
                         stuck = true;
                         break;
                     }
@@ -433,6 +427,7 @@ fn analyze_coverage_inner(
                 }
             }
         }
+        drop(engine);
         drop(model);
         if stuck {
             break;
@@ -535,6 +530,29 @@ pub fn bfs_coverage(
     })
 }
 
+/// The cube of coverage state `bits`: bit `k` is the value of signal `k`.
+fn coverage_cube(set: &CoverageSet, bits: u64) -> Cube {
+    set.signals
+        .iter()
+        .enumerate()
+        .map(|(k, &s)| (s, bits & (1 << k) != 0))
+        .collect()
+}
+
+/// The first onion ring that meets `target`.
+fn first_ring(
+    model: &mut SymbolicModel<'_>,
+    rings: &[Bdd],
+    target: Bdd,
+) -> Result<Option<usize>, BddError> {
+    for (j, &ring) in rings.iter().enumerate() {
+        if model.manager().and(ring, target)? != model.manager_ref().zero() {
+            return Ok(Some(j));
+        }
+    }
+    Ok(None)
+}
+
 fn validate_coverage_set(netlist: &Netlist, set: &CoverageSet) -> Result<(), RfnError> {
     if set.signals.len() > 24 {
         return Err(RfnError::BadProperty(format!(
@@ -592,17 +610,15 @@ fn closest_registers(netlist: &Netlist, seeds: &[SignalId], k: usize) -> Vec<Sig
     picked
 }
 
-/// Replays a trace concretely (unassigned inputs low) and collects the
-/// coverage states visited at every cycle.
+/// Replays a trace concretely (unassigned inputs and unknown resets low) and
+/// collects the coverage states visited at every cycle.
 fn replay_coverage_states(netlist: &Netlist, set: &CoverageSet, trace: &Trace) -> Vec<u64> {
     let Ok(mut sim) = Simulator::new(netlist) else {
         return Vec::new();
     };
     sim.reset();
-    for (s, v) in trace.steps()[0].state.iter() {
-        if netlist.is_register(s) && netlist.register_init(s).is_none() {
-            sim.set(s, rfn_sim::Tv::from(v));
-        }
+    for (r, v) in replay_resets(netlist, &trace.steps()[0].state).iter() {
+        sim.set(r, rfn_sim::Tv::from(v));
     }
     let mut out = Vec::new();
     let mut record = |sim: &Simulator| {
@@ -628,8 +644,6 @@ fn replay_coverage_states(netlist: &Netlist, set: &CoverageSet, trace: &Trace) -
     }
     out
 }
-
-use rfn_netlist::Trace;
 
 #[cfg(test)]
 mod tests {
@@ -722,6 +736,53 @@ mod tests {
         n.validate().unwrap();
         let set = CoverageSet::new("bad", [i]);
         assert!(analyze_coverage(&n, &set, &CoverageOptions::default()).is_err());
+    }
+
+    /// One engine answering every frontier state of a coverage iteration
+    /// returns the traces that a fresh engine per state returns. Quick-scale
+    /// IU1, at its first abstraction (the coverage registers alone) and at
+    /// its exact one (the whole cone of influence).
+    #[test]
+    fn one_engine_per_iteration_matches_a_fresh_engine_per_state() {
+        let design = rfn_designs::integer_unit(&rfn_designs::IntegerUnitParams {
+            stages: 5,
+            counters_per_stage: 1,
+            counter_width: 5,
+            data_width: 4,
+        });
+        let n = &design.netlist;
+        let set = &design.coverage_sets[0];
+        assert_eq!(set.name, "IU1");
+        let coi = Coi::of(n, set.signals.iter().copied());
+        let atpg = AtpgOptions::default();
+        for regs in [set.signals.clone(), coi.registers().to_vec()] {
+            let view = Abstraction::from_registers(regs)
+                .view(n, set.signals.iter().copied())
+                .unwrap();
+            let mut model = SymbolicModel::new(n, ModelSpec::from_view(&view)).unwrap();
+            let zero = model.manager_ref().zero();
+            let reach = forward_reach(&mut model, zero, &ReachOptions::default()).unwrap();
+            assert_eq!(reach.verdict, ReachVerdict::FixpointProved);
+            let shared = HybridEngine::new(n, &view, &mut model, &atpg).unwrap();
+            let mut frontier = 0;
+            for bits in 0..1u64 << set.signals.len() {
+                let target = model.cube_to_bdd(&coverage_cube(set, bits)).unwrap();
+                let Some(step) = first_ring(&mut model, &reach.rings, target).unwrap() else {
+                    continue;
+                };
+                let reused = shared
+                    .traces(&mut model, &reach.rings, step, target, 1)
+                    .unwrap();
+                let fresh = HybridEngine::new(n, &view, &mut model, &atpg)
+                    .unwrap()
+                    .traces(&mut model, &reach.rings, step, target, 1)
+                    .unwrap();
+                assert_eq!(reused, fresh, "coverage state {bits:#x}");
+                assert_eq!(reused.0.len(), 1, "coverage state {bits:#x} has a trace");
+                frontier += 1;
+            }
+            assert!(frontier > 1, "the fixpoint reaches several coverage states");
+        }
     }
 
     #[test]

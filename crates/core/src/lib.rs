@@ -10,7 +10,7 @@
 //!    ([`rfn_netlist::Abstraction`]).
 //! 2. **Prove or find an abstract error trace** — BDD-based forward fixpoint
 //!    with onion rings; on a target hit, the **hybrid BDD–ATPG engine**
-//!    ([`hybrid_trace`]) reconstructs an error trace using pre-images on the
+//!    ([`HybridEngine`]) reconstructs an error trace using pre-images on the
 //!    *min-cut design* and combinational ATPG to lift min-cut cubes to
 //!    no-cut cubes.
 //! 3. **Concretize** — a staged cheap-to-expensive search of the original
@@ -85,7 +85,7 @@ pub use engine::{
     RfnEngine, Verdict,
 };
 pub use error::{Error, Phase, RfnError};
-pub use hybrid::{hybrid_trace, hybrid_traces, HybridOutcome, HybridStats};
+pub use hybrid::{HybridEngine, HybridStats};
 pub use portfolio::{default_threads, parallel_map};
 pub use refine::{refine, refine_with_roots, RefineOptions, RefineReport};
 pub use rfn::{Rfn, RfnOptions, RfnOutcome, RfnStats};

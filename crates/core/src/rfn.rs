@@ -14,9 +14,10 @@ use rfn_trace::{Span, StderrSink, TraceCtx};
 
 use rfn_sim::RandomSimOptions;
 
+use crate::concretize::replay_resets;
 use crate::{
-    concretize_with_stats, hybrid_traces, refine, ConcretizeOptions, ConcretizeOutcome,
-    ConcretizeStats, HybridStats, LoopCheckpoint, Phase, RefineOptions, RfnError,
+    concretize_with_stats, refine, ConcretizeOptions, ConcretizeOutcome, ConcretizeStats,
+    HybridEngine, HybridStats, LoopCheckpoint, Phase, RefineOptions, RfnError,
 };
 
 /// Configuration of the RFN loop.
@@ -588,22 +589,27 @@ impl<'n> Rfn<'n> {
                 ReachVerdict::TargetHit { step } => step,
             };
 
-            // Hybrid engine: reconstruct one or more abstract error traces.
+            // Hybrid engine: reconstruct one or more abstract error traces,
+            // every seed sharing the iteration's engine.
             let mut hybrid_atpg = self.options.hybrid_atpg.clone();
             hybrid_atpg.trace = ctx.clone();
             hybrid_atpg.budget = budget.clone();
             hybrid_atpg.phase = GovPhase::Hybrid;
             let traces: Vec<rfn_netlist::Trace> = {
                 let mut hspan = ctx.span("hybrid");
-                let reconstructed = match hybrid_traces(
-                    self.netlist,
-                    &view,
-                    &mut model,
-                    &reach,
-                    targets,
-                    &hybrid_atpg,
-                    self.options.max_abstract_traces.max(1),
-                ) {
+                let reconstructed =
+                    HybridEngine::new(self.netlist, &view, &mut model, &hybrid_atpg).and_then(
+                        |engine| {
+                            engine.traces(
+                                &mut model,
+                                &reach.rings,
+                                hit_step,
+                                targets,
+                                self.options.max_abstract_traces.max(1),
+                            )
+                        },
+                    );
+                let (traces, round) = match reconstructed {
                     // Kernel errors are budget exhaustion (deadline, ceiling,
                     // cancellation): an ordinary outcome, as in reach.
                     Err(RfnError::Mc {
@@ -619,7 +625,7 @@ impl<'n> Rfn<'n> {
                     }
                     r => r?,
                 };
-                if reconstructed.is_empty() {
+                if traces.is_empty() {
                     return Ok(self.inconclusive(
                         ctx,
                         "hybrid engine failed to reconstruct an abstract error trace",
@@ -627,28 +633,9 @@ impl<'n> Rfn<'n> {
                         start,
                     ));
                 }
-                let mut round = HybridStats::default();
-                for (_, h) in &reconstructed {
-                    round.no_cut_steps += h.no_cut_steps;
-                    round.min_cut_steps += h.min_cut_steps;
-                    round.fallback_steps += h.fallback_steps;
-                    round.abstract_inputs = h.abstract_inputs;
-                    round.min_cut_inputs = h.min_cut_inputs;
-                }
-                stats.hybrid.no_cut_steps += round.no_cut_steps;
-                stats.hybrid.min_cut_steps += round.min_cut_steps;
-                stats.hybrid.fallback_steps += round.fallback_steps;
-                stats.hybrid.abstract_inputs = round.abstract_inputs;
-                stats.hybrid.min_cut_inputs = round.min_cut_inputs;
-                hspan.record("traces", reconstructed.len());
-                hspan.record("cycles", reconstructed[0].0.num_cycles());
-                hspan.record("hit_step", hit_step);
-                hspan.record("no_cut_steps", round.no_cut_steps);
-                hspan.record("min_cut_steps", round.min_cut_steps);
-                hspan.record("fallback_steps", round.fallback_steps);
-                hspan.record("abstract_inputs", round.abstract_inputs);
-                hspan.record("min_cut_inputs", round.min_cut_inputs);
-                reconstructed.into_iter().map(|(t, _)| t).collect()
+                stats.hybrid.merge(&round);
+                round.record(&mut hspan, &traces, hit_step);
+                traces
             };
             self.log(
                 ctx,
@@ -669,10 +656,7 @@ impl<'n> Rfn<'n> {
             if exact {
                 let trace = traces.into_iter().next().expect("non-empty");
                 if crate::validate_trace(self.netlist, &self.property, &trace)? {
-                    self.save_order_cache(ctx, &saved_order);
-                    stats.trace_length = Some(trace.num_cycles());
-                    stats.elapsed = start.elapsed();
-                    return Ok(RfnOutcome::Falsified { trace, stats });
+                    return Ok(self.falsified(ctx, &saved_order, trace, stats, start));
                 }
                 return Ok(self.inconclusive(
                     ctx,
@@ -751,10 +735,7 @@ impl<'n> Rfn<'n> {
                             trace.num_cycles()
                         ),
                     );
-                    self.save_order_cache(ctx, &saved_order);
-                    stats.trace_length = Some(trace.num_cycles());
-                    stats.elapsed = start.elapsed();
-                    return Ok(RfnOutcome::Falsified { trace, stats });
+                    return Ok(self.falsified(ctx, &saved_order, trace, stats, start));
                 }
             }
 
@@ -928,6 +909,28 @@ impl<'n> Rfn<'n> {
         self.netlist
             .find(name)
             .ok_or_else(|| RfnError::Checkpoint(format!("snapshot names unknown signal `{name}`")))
+    }
+
+    /// Ends the run with a validated counterexample. The registers with
+    /// unknown resets get the cycle-0 values the validating replay gave
+    /// them, so the trace replays on its own.
+    fn falsified(
+        &self,
+        ctx: &TraceCtx,
+        saved_order: &[(SignalId, VarKind)],
+        mut trace: Trace,
+        mut stats: RfnStats,
+        start: Instant,
+    ) -> RfnOutcome {
+        let resets = replay_resets(self.netlist, &trace.steps()[0].state);
+        trace.steps_mut()[0]
+            .state
+            .merge(&resets)
+            .expect("reset values agree with the state they were read from");
+        self.save_order_cache(ctx, saved_order);
+        stats.trace_length = Some(trace.num_cycles());
+        stats.elapsed = start.elapsed();
+        RfnOutcome::Falsified { trace, stats }
     }
 
     fn inconclusive(

@@ -7,6 +7,7 @@
 
 use proptest::prelude::*;
 use rfn::core::{validate_trace, Rfn, RfnOptions, RfnOutcome};
+use rfn::designs::fuzz_design;
 use rfn::mc::{verify_plain, PlainOptions, PlainVerdict};
 use rfn::netlist::{GateOp, Netlist, Property, SignalId};
 
@@ -134,6 +135,46 @@ proptest! {
             }
             (o, v) => {
                 prop_assert!(false, "multi-trace verdict mismatch: {o:?} vs {v:?}");
+            }
+        }
+    }
+}
+
+/// Fuzz designs whose shortest counterexamples need registers with unknown
+/// resets that reconverge (in `fuzz:68`, `r3` feeds `Xnor(g0, g0, in1)`):
+/// three-valued replay with those registers at `X` cannot confirm the
+/// violation, so RFN used to give up on an exact abstraction. It must
+/// falsify at plain MC's depth, with a trace that pins every unknown reset.
+#[test]
+fn unknown_resets_keep_counterexamples_at_the_plain_depth() {
+    for (seed, name) in [(68, "p2"), (2_001_533, "p0_wd"), (2_002_196, "p0_wd")] {
+        let design = fuzz_design(seed);
+        let n = &design.netlist;
+        let p = design
+            .properties
+            .iter()
+            .find(|p| p.name == name)
+            .expect("the fuzz design carries the property");
+        let plain = verify_plain(n, p, &PlainOptions::default()).expect("plain runs");
+        let PlainVerdict::Falsified { depth } = plain.verdict else {
+            panic!("fuzz:{seed} `{name}`: plain MC says {:?}", plain.verdict);
+        };
+        let outcome = Rfn::new(n, p, RfnOptions::default())
+            .expect("valid")
+            .run()
+            .expect("runs");
+        let RfnOutcome::Falsified { trace, .. } = outcome else {
+            panic!("fuzz:{seed} `{name}`: RFN says {outcome:?}");
+        };
+        assert_eq!(trace.num_cycles() - 1, depth, "fuzz:{seed} `{name}`");
+        assert!(validate_trace(n, p, &trace).unwrap());
+        for &r in n.registers() {
+            if n.register_init(r).is_none() {
+                assert!(
+                    trace.steps()[0].state.get(r).is_some(),
+                    "fuzz:{seed} `{name}`: reset of `{}` left open",
+                    n.label(r)
+                );
             }
         }
     }
