@@ -24,17 +24,12 @@
 //!   level swaps that preserve node identity, so every externally held
 //!   [`Bdd`] handle stays valid across reordering. Current/next-state
 //!   variable pairs are kept adjacent by registering them as a group,
-//! * **adaptive reorder scheduling** ([`DvoPolicy`], [`DvoSchedule`]):
-//!   growth-ratio, wall-clock and exponential-backoff policies decide when
-//!   the model checker sifts, with per-pass profitability in [`BddStats`],
+//! * **scheduled reordering** ([`BddManager::scheduled_sift`]): the model
+//!   checker sifts when the live node count doubles past a floor
+//!   ([`DoublingTrigger`]), with per-pass profitability in [`BddStats`], and
 //! * a **persistent order/BDD store** ([`store`]): a versioned DDDMP-style
 //!   text format that saves a converged variable order and named root BDDs
-//!   (e.g. reached-set rings) so repeat runs warm-start, and
-//! * a **shard-safe concurrent kernel** ([`SharedBddManager`]) whose
-//!   operations take `&self`, so scoped worker threads can apply against one
-//!   shared manager — the engine behind intra-property parallel image
-//!   computation (see the [`shared`] module docs for the concurrency
-//!   model).
+//!   (e.g. reached-set rings) so repeat runs warm-start.
 //!
 //! Handles are plain indices: a [`Bdd`] is only meaningful together with the
 //! manager that created it, and survives both reordering (node identity is
@@ -66,13 +61,13 @@ mod analysis;
 mod cache;
 mod manager;
 mod reorder;
-pub mod shared;
 mod stats;
 pub mod store;
 mod unique;
 
 pub use manager::{Bdd, BddError, BddManager, BddResult, VarId};
-pub use reorder::{sift_profitable, DvoPolicy, DvoSchedule, SIFT_MAX_GROUPS, SIFT_MIN_GROUP_SIZE};
-pub use shared::SharedBddManager;
+pub use reorder::{
+    sift_profitable, DoublingTrigger, DvoSchedule, SIFT_MAX_GROUPS, SIFT_MIN_GROUP_SIZE,
+};
 pub use stats::BddStats;
 pub use store::{BddStore, StoreBuilder, StoreError, STORE_SCHEMA};

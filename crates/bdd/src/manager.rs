@@ -1274,9 +1274,8 @@ impl BddManager {
 
     /// The variable and cofactors of an internal node (`None` for the
     /// terminals). Together with [`BddManager::make_node`] this supports
-    /// structural transfer of BDDs between managers — in particular to and
-    /// from the concurrent [`SharedBddManager`](crate::SharedBddManager)
-    /// used by parallel image computation.
+    /// structural transfer of BDDs between managers, as the
+    /// [`store`](crate::store) does.
     pub fn node_info(&self, f: Bdd) -> Option<(VarId, Bdd, Bdd)> {
         let n = self.nodes[f.0 as usize];
         (n.var != TERMINAL_VAR).then_some((VarId(n.var), Bdd(n.lo), Bdd(n.hi)))

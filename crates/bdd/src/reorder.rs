@@ -22,7 +22,7 @@
 //! node that drops to zero, so the table holds exactly the live nodes after
 //! every swap and a group's walk sees the true size at each position.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::manager::BddManager;
 use crate::{Bdd, VarId};
@@ -39,22 +39,20 @@ pub const SIFT_MIN_ALLOWANCE: u64 = 1 << 20;
 /// The one profitability rule for sift passes: a pass pays when it shrinks
 /// the live node count by at least 1/16 (~6%). Unprofitable passes are
 /// what [`BddStats::unprofitable_sifts`](crate::BddStats::unprofitable_sifts)
-/// counts, what [`DvoPolicy::Backoff`] backs off on, and what makes the
-/// model checker's run-scoped trigger floor double.
+/// counts and what makes the model checker's run-scoped trigger floor
+/// double.
 pub fn sift_profitable(before: usize, after: usize) -> bool {
     after < before && (before - after) * 16 >= before
 }
 
-/// Decides *when* dynamic variable reordering runs.
+/// Decides *when* a scheduled sift pass runs.
 ///
-/// The model checker polls [`should_sift`](DvoSchedule::should_sift) at its
-/// natural checkpoints (after each image step) through
-/// [`BddManager::scheduled_sift`]: first with the allocated node count,
-/// which includes garbage, and — only if that says yes — again with the
-/// live count after a collection. When a sift runs, the outcome goes back
-/// through [`record_sift`](DvoSchedule::record_sift) so adaptive policies
-/// can learn from profitability. Schedules are stateful; build a fresh one
-/// per run from a [`DvoPolicy`].
+/// [`BddManager::scheduled_sift`] asks [`should_sift`](DvoSchedule::should_sift)
+/// first with the allocated node count, which includes garbage, and — only
+/// if that says yes — again with the live count after a collection. When a
+/// sift runs, the outcome goes back through
+/// [`record_sift`](DvoSchedule::record_sift). The model checker's trigger is
+/// [`DoublingTrigger`]; other implementations let tests force a pass.
 pub trait DvoSchedule {
     /// Whether a sift pass should run now, given a node count of the
     /// manager. Must not change the schedule's state: it is asked twice per
@@ -66,195 +64,28 @@ pub trait DvoSchedule {
     fn record_sift(&mut self, before: usize, after: usize);
 }
 
-/// A declarative, copyable description of a reorder schedule, carried in
-/// option structs and on the CLI (`--dvo-schedule`); [`build`](DvoPolicy::build)
-/// turns it into the stateful [`DvoSchedule`] the reach loop polls.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum DvoPolicy {
-    /// Never reorder.
-    Never,
-    /// Sift when live nodes exceed a threshold; after each sift the
-    /// threshold becomes twice the post-sift size (never smaller than it
-    /// was). This reproduces the fixed trigger the reach loop used before
-    /// schedules existed and is the default.
-    #[default]
-    Doubling,
-    /// Sift when the table has grown past `ratio` × its size after the
-    /// previous sift (the baseline starts at the trigger floor).
-    GrowthRatio {
-        /// Growth factor over the post-sift baseline that triggers the
-        /// next sift (e.g. 2.0 = table doubled since last sift).
-        ratio: f64,
-    },
-    /// Sift at most once per `interval_ms` milliseconds once the table
-    /// exceeds the trigger floor.
-    TimeSince {
-        /// Minimum wall-clock gap between sift passes.
-        interval_ms: u64,
-    },
-    /// [`GrowthRatio`](DvoPolicy::GrowthRatio) with exponential backoff:
-    /// each unprofitable sift (table barely shrank) doubles the effective
-    /// ratio, a profitable one resets it.
-    Backoff {
-        /// Base growth factor; the effective factor is `ratio × scale`
-        /// where `scale` doubles on unprofitable sifts (capped at 16).
-        ratio: f64,
-    },
-}
-
-impl DvoPolicy {
-    /// Builds the stateful schedule. `floor` is the live-node count below
-    /// which no policy triggers (the reach loop passes its
-    /// `reorder_threshold`).
-    pub fn build(self, floor: usize) -> Box<dyn DvoSchedule + Send> {
-        match self {
-            DvoPolicy::Never => Box::new(NeverSchedule),
-            DvoPolicy::Doubling => Box::new(DoublingSchedule { threshold: floor }),
-            DvoPolicy::GrowthRatio { ratio } => Box::new(GrowthRatioSchedule {
-                ratio,
-                floor,
-                baseline: floor.max(1),
-            }),
-            DvoPolicy::TimeSince { interval_ms } => Box::new(TimeSinceSchedule {
-                interval: Duration::from_millis(interval_ms),
-                floor,
-                last: Instant::now(),
-            }),
-            DvoPolicy::Backoff { ratio } => Box::new(BackoffSchedule {
-                ratio,
-                floor,
-                baseline: floor.max(1),
-                scale: 1.0,
-            }),
-        }
-    }
-
-    /// Parses a CLI spelling: `never`, `doubling`, `growth[:RATIO]`,
-    /// `time[:MILLIS]`, `backoff[:RATIO]`.
-    pub fn parse(s: &str) -> Result<DvoPolicy, String> {
-        let (name, param) = match s.split_once(':') {
-            Some((n, p)) => (n, Some(p)),
-            None => (s, None),
-        };
-        let ratio = |default: f64| -> Result<f64, String> {
-            match param {
-                None => Ok(default),
-                Some(p) => p
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|r| r.is_finite() && *r > 1.0)
-                    .ok_or_else(|| format!("invalid ratio {p:?} (want a number > 1)")),
-            }
-        };
-        match name {
-            "never" => Ok(DvoPolicy::Never),
-            "doubling" => Ok(DvoPolicy::Doubling),
-            "growth" => Ok(DvoPolicy::GrowthRatio { ratio: ratio(2.0)? }),
-            "backoff" => Ok(DvoPolicy::Backoff { ratio: ratio(2.0)? }),
-            "time" => {
-                let interval_ms = match param {
-                    None => 1000,
-                    Some(p) => p
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|ms| *ms > 0)
-                        .ok_or_else(|| format!("invalid interval {p:?} (want millis > 0)"))?,
-                };
-                Ok(DvoPolicy::TimeSince { interval_ms })
-            }
-            _ => Err(format!(
-                "unknown dvo schedule {name:?} (want never|doubling|growth[:R]|time[:MS]|backoff[:R])"
-            )),
-        }
-    }
-
-    /// The canonical CLI spelling, for traces and error messages.
-    pub fn describe(&self) -> String {
-        match self {
-            DvoPolicy::Never => "never".into(),
-            DvoPolicy::Doubling => "doubling".into(),
-            DvoPolicy::GrowthRatio { ratio } => format!("growth:{ratio}"),
-            DvoPolicy::TimeSince { interval_ms } => format!("time:{interval_ms}"),
-            DvoPolicy::Backoff { ratio } => format!("backoff:{ratio}"),
-        }
-    }
-}
-
-struct NeverSchedule;
-
-impl DvoSchedule for NeverSchedule {
-    fn should_sift(&mut self, _live_nodes: usize) -> bool {
-        false
-    }
-    fn record_sift(&mut self, _before: usize, _after: usize) {}
-}
-
-struct DoublingSchedule {
+/// The reorder trigger the model checker polls after each image: sift when
+/// live nodes exceed a threshold, which starts at the trigger floor. After
+/// each pass the threshold becomes twice the post-sift size, and it never
+/// shrinks. Build a fresh one per fixpoint.
+#[derive(Clone, Copy, Debug)]
+pub struct DoublingTrigger {
     threshold: usize,
 }
 
-impl DvoSchedule for DoublingSchedule {
+impl DoublingTrigger {
+    /// A trigger that first fires once live nodes exceed `floor`.
+    pub fn new(floor: usize) -> Self {
+        DoublingTrigger { threshold: floor }
+    }
+}
+
+impl DvoSchedule for DoublingTrigger {
     fn should_sift(&mut self, live_nodes: usize) -> bool {
         live_nodes > self.threshold
     }
     fn record_sift(&mut self, _before: usize, after: usize) {
-        // Matches the pre-schedule reach loop exactly: the next trigger is
-        // double the post-sift size, and the threshold never shrinks.
         self.threshold = (after * 2).max(self.threshold);
-    }
-}
-
-struct GrowthRatioSchedule {
-    ratio: f64,
-    floor: usize,
-    baseline: usize,
-}
-
-impl DvoSchedule for GrowthRatioSchedule {
-    fn should_sift(&mut self, live_nodes: usize) -> bool {
-        live_nodes > self.floor && live_nodes as f64 > self.baseline as f64 * self.ratio
-    }
-    fn record_sift(&mut self, _before: usize, after: usize) {
-        self.baseline = after.max(1);
-    }
-}
-
-struct TimeSinceSchedule {
-    interval: Duration,
-    floor: usize,
-    last: Instant,
-}
-
-impl DvoSchedule for TimeSinceSchedule {
-    fn should_sift(&mut self, live_nodes: usize) -> bool {
-        live_nodes > self.floor && self.last.elapsed() >= self.interval
-    }
-    fn record_sift(&mut self, _before: usize, _after: usize) {
-        self.last = Instant::now();
-    }
-}
-
-/// A sift that fails [`sift_profitable`] cost real time and bought nothing,
-/// so the next trigger moves further out.
-struct BackoffSchedule {
-    ratio: f64,
-    floor: usize,
-    baseline: usize,
-    scale: f64,
-}
-
-impl DvoSchedule for BackoffSchedule {
-    fn should_sift(&mut self, live_nodes: usize) -> bool {
-        live_nodes > self.floor
-            && live_nodes as f64 > self.baseline as f64 * self.ratio * self.scale
-    }
-    fn record_sift(&mut self, before: usize, after: usize) {
-        self.scale = if sift_profitable(before, after) {
-            1.0
-        } else {
-            (self.scale * 2.0).min(16.0)
-        };
-        self.baseline = after.max(1);
     }
 }
 
@@ -363,12 +194,12 @@ impl BddManager {
     /// of near-empty input variables they cannot shrink anything, and
     /// visiting them would dominate the runtime.
     ///
-    /// `max_growth` bounds the intermediate blow-up: a group's exploration is
-    /// cut short once the table grows past `max_growth` times its size at the
-    /// start of that group's sift (1.2 – 2.0 are typical values).
-    pub fn sift_with_roots(&mut self, roots: &[Bdd], max_growth: f64) {
+    /// `growth_limit` bounds the intermediate blow-up: a group's exploration
+    /// is cut short once the table grows past `growth_limit` times its size
+    /// at the start of that group's sift (1.2 – 2.0 are typical values).
+    pub fn sift_with_roots(&mut self, roots: &[Bdd], growth_limit: f64) {
         self.gc(roots);
-        self.sift_collected(roots, max_growth, u64::MAX);
+        self.sift_collected(roots, growth_limit, u64::MAX);
     }
 
     /// One scheduled reorder step, as the model checker runs it after each
@@ -391,7 +222,7 @@ impl BddManager {
     pub fn scheduled_sift(
         &mut self,
         roots: &[Bdd],
-        max_growth: f64,
+        growth_limit: f64,
         dvo: &mut dyn DvoSchedule,
     ) -> Option<(usize, usize)> {
         if !dvo.should_sift(self.num_nodes()) {
@@ -401,7 +232,7 @@ impl BddManager {
         if !dvo.should_sift(self.num_nodes()) {
             return None;
         }
-        let (before, after) = self.sift_collected(roots, max_growth, self.sift_allowance());
+        let (before, after) = self.sift_collected(roots, growth_limit, self.sift_allowance());
         dvo.record_sift(before, after);
         Some((before, after))
     }
@@ -430,7 +261,12 @@ impl BddManager {
     /// [`BddStats`](crate::BddStats). Returns the live node counts before
     /// and after. The opening collection emptied the operation caches and
     /// swaps never fill them, so no memo can name a node freed here.
-    fn sift_collected(&mut self, roots: &[Bdd], max_growth: f64, allowance: u64) -> (usize, usize) {
+    fn sift_collected(
+        &mut self,
+        roots: &[Bdd],
+        growth_limit: f64,
+        allowance: u64,
+    ) -> (usize, usize) {
         let was = self.reorder_in_progress;
         self.reorder_in_progress = true;
         let t0 = Instant::now();
@@ -441,7 +277,7 @@ impl BddManager {
             if self.sift_must_stop(stop_at) {
                 break;
             }
-            self.sift_group(gid, max_growth, stop_at);
+            self.sift_group(gid, growth_limit, stop_at);
         }
         self.sift_mark = self.stats.unique_probes;
         self.reorder_refs = Vec::new();
@@ -484,9 +320,9 @@ impl BddManager {
     /// position seen. The block layout is tracked incrementally: only the
     /// sifted group moves, so a snapshot of `(group, len)` pairs plus the
     /// group's index stays valid throughout — no per-move rescans.
-    fn sift_group(&mut self, gid: u32, max_growth: f64, stop_at: u64) {
+    fn sift_group(&mut self, gid: u32, growth_limit: f64, stop_at: u64) {
         let start_size = self.table_size().max(1);
-        let limit = ((start_size as f64) * max_growth) as usize + 64;
+        let limit = ((start_size as f64) * growth_limit) as usize + 64;
         // Snapshot of the block order as (group, len); `pos` tracks the
         // sifted group; `start_of` computes a block's start level on demand.
         let mut order: Vec<(u32, usize)> = self
@@ -607,7 +443,7 @@ impl BddManager {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Bdd, BddManager, DvoPolicy, VarId};
+    use crate::{Bdd, BddManager, DoublingTrigger, DvoSchedule, VarId};
 
     /// Builds the classic order-sensitive function
     /// f = (x0 ∧ x1) ∨ (x2 ∧ x3) ∨ (x4 ∧ x5) under a deliberately bad
@@ -804,15 +640,15 @@ mod tests {
             allocated > live + 4,
             "test needs garbage above the live count"
         );
-        let mut dvo = DvoPolicy::Doubling.build(live + 1);
+        let mut dvo = DoublingTrigger::new(live + 1);
         let gc_runs = m.stats().gc_runs;
-        assert_eq!(m.scheduled_sift(&[f], 2.0, dvo.as_mut()), None);
+        assert_eq!(m.scheduled_sift(&[f], 2.0, &mut dvo), None);
         assert_eq!(m.stats().sift_runs, 0);
         assert_eq!(m.stats().gc_runs, gc_runs + 1);
         assert_eq!(m.num_nodes(), live);
 
-        let mut eager = DvoPolicy::Doubling.build(1);
-        let (before, after) = m.scheduled_sift(&[f], 2.0, eager.as_mut()).unwrap();
+        let mut eager = DoublingTrigger::new(1);
+        let (before, after) = m.scheduled_sift(&[f], 2.0, &mut eager).unwrap();
         assert_eq!(before, live);
         assert_eq!(after, m.size(f));
         assert_eq!(m.stats().sift_runs, 1);
@@ -822,7 +658,7 @@ mod tests {
 
     struct Always;
 
-    impl super::DvoSchedule for Always {
+    impl DvoSchedule for Always {
         fn should_sift(&mut self, _live_nodes: usize) -> bool {
             true
         }

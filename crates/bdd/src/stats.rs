@@ -44,15 +44,6 @@ pub struct BddStats {
     pub auto_gc_runs: u64,
     /// High-water mark of live nodes.
     pub peak_nodes: usize,
-    /// Unique-table shard lock acquisitions
-    /// ([`SharedBddManager`](crate::SharedBddManager) only; the serial
-    /// kernel takes no locks and leaves this 0).
-    pub shard_locks: u64,
-    /// Shard lock acquisitions that found the lock already held by another
-    /// worker and had to wait (contention).
-    pub shard_contended: u64,
-    /// High-water mark of live nodes in the fullest unique-table shard.
-    pub shard_peak_occupancy: usize,
     /// Sift passes run ([`sift_with_roots`](crate::BddManager::sift_with_roots)
     /// calls and passes [`scheduled_sift`](crate::BddManager::scheduled_sift)
     /// ran).
@@ -61,7 +52,7 @@ pub struct BddStats {
     /// over passes that shrank the table).
     pub sift_nodes_shrunk: u64,
     /// Sift passes that failed [`sift_profitable`](crate::sift_profitable)
-    /// (the backoff schedule and the run-scoped trigger floor key off this).
+    /// (the model checker's run-scoped trigger floor keys off this).
     pub unprofitable_sifts: u64,
     /// Total wall-clock microseconds spent inside sift passes.
     pub sift_us: u64,
@@ -88,9 +79,6 @@ impl BddStats {
         self.gc_nodes_freed += other.gc_nodes_freed;
         self.auto_gc_runs += other.auto_gc_runs;
         self.peak_nodes = self.peak_nodes.max(other.peak_nodes);
-        self.shard_locks += other.shard_locks;
-        self.shard_contended += other.shard_contended;
-        self.shard_peak_occupancy = self.shard_peak_occupancy.max(other.shard_peak_occupancy);
         self.sift_runs += other.sift_runs;
         self.sift_nodes_shrunk += other.sift_nodes_shrunk;
         self.unprofitable_sifts += other.unprofitable_sifts;
@@ -156,17 +144,8 @@ impl fmt::Display for BddStats {
             self.gc_nodes_freed,
             self.peak_nodes,
         )?;
-        // Shard counters exist only for the shared (parallel) kernel; keep
-        // serial output byte-identical by appending them only when present.
-        if self.shard_locks > 0 {
-            write!(
-                f,
-                ", shard locks {} ({} contended), shard peak {}",
-                self.shard_locks, self.shard_contended, self.shard_peak_occupancy,
-            )?;
-        }
-        // Likewise sift counters: only reordering runs print them, so
-        // reorder-free output stays byte-identical.
+        // Sift counters: only reordering runs print them, so reorder-free
+        // output stays byte-identical.
         if self.sift_runs > 0 {
             write!(
                 f,

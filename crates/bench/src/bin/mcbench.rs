@@ -6,7 +6,7 @@
 //! cargo run -p rfn-bench --bin mcbench --release [-- --quick] [--smoke]
 //! ```
 //!
-//! Three sections:
+//! Five sections:
 //!
 //! 1. **Lockstep equivalence** — on one shared BDD manager per design, each
 //!    BFS step computes the new states twice: through a seed-style linear
@@ -23,16 +23,7 @@
 //! 3. **Property verdicts** — the same two configurations must return
 //!    identical verdicts (and hit depths) for the bundled property and
 //!    coverage targets.
-//! 4. **Parallel image sweep** — the overhauled configuration at
-//!    `--bdd-threads` 1/2/4/8 (1/2 under `--smoke`). The serial run is the
-//!    reference: every thread count must reproduce its verdict, step count,
-//!    reached-set and per-ring node counts exactly — parallel image
-//!    computation imports canonical results back into the master manager, so
-//!    any divergence is a kernel bug and exits nonzero. Wall-clock speedups
-//!    and shard-lock contention are reported as measured (on a single-core
-//!    host speedups hover near or below 1.0×; the equivalence gate, not the
-//!    speedup, is the CI criterion).
-//! 5. **Ordering** — the same fixpoint three ways: *cold* under the seed
+//! 4. **Ordering** — the same fixpoint three ways: *cold* under the seed
 //!    declaration order, *cold* under the FORCE static pre-order, and
 //!    *warm* from the order/ring store the seed run persisted (the
 //!    repeat-run path behind `--order-cache-dir`). All three must agree on
@@ -41,7 +32,7 @@
 //!    is `sat_count`, not size). Wall-clock, peak nodes and sift counts
 //!    quantify the win; under `--smoke` the warm run must also sift no more
 //!    than the cold run it resumed from.
-//! 6. **Multi-property grouping** — two legs. Per design, a multi-target
+//! 5. **Multi-property grouping** — two legs. Per design, a multi-target
 //!    `forward_reach_multi` over the case target plus register sub-targets
 //!    must reproduce every dedicated single-target run's verdict and hit
 //!    depth from one shared fixpoint. Then the many-property synthetic
@@ -88,8 +79,6 @@ struct Run {
     verdict: ReachVerdict,
     reached_nodes: usize,
     ring_nodes: Vec<usize>,
-    shard_locks: u64,
-    shard_contended: u64,
 }
 
 /// A throughput-comparison row (section 2).
@@ -120,23 +109,7 @@ struct VerdictRow {
     clustered_ms: f64,
 }
 
-/// A parallel-sweep row (section 4): the same fixpoint at several
-/// `bdd_threads` settings. `runs[0]` is the 1-thread reference.
-struct ParRow {
-    design: String,
-    target: String,
-    registers: usize,
-    runs: Vec<(usize, Run)>,
-}
-
-impl ParRow {
-    /// Wall-clock speedup of the given run over the serial reference.
-    fn speedup(&self, k: usize) -> f64 {
-        self.runs[0].1.reach_ms / self.runs[k].1.reach_ms.max(1e-9)
-    }
-}
-
-/// One ordering configuration's measurements (section 5).
+/// One ordering configuration's measurements (section 4).
 struct OrderRun {
     build_ms: f64,
     reach_ms: f64,
@@ -152,7 +125,7 @@ impl OrderRun {
     }
 }
 
-/// An ordering-comparison row (section 5): cold seed order vs. FORCE
+/// An ordering-comparison row (section 4): cold seed order vs. FORCE
 /// pre-order vs. warm-start from the persisted store.
 struct OrderRow {
     design: String,
@@ -179,7 +152,7 @@ impl OrderRow {
     }
 }
 
-/// A multi-target grouping row (section 6): the case target plus register
+/// A multi-target grouping row (section 5): the case target plus register
 /// sub-targets, resolved by one shared fixpoint vs dedicated runs.
 struct MultiRow {
     design: String,
@@ -194,7 +167,7 @@ impl MultiRow {
     }
 }
 
-/// The session-level synthetic comparison (section 6): one netlist of
+/// The session-level synthetic comparison (section 5): one netlist of
 /// disjoint counters, verified grouped and ungrouped.
 struct SyntheticRow {
     groups: usize,
@@ -322,45 +295,7 @@ fn main() -> ExitCode {
     }
     println!();
 
-    // Section 4: intra-image parallelism. Every thread count must reproduce
-    // the serial run bit-for-bit (verdict, steps, reached set, rings); the
-    // speedup column is informational — the equivalence gate is the CI
-    // criterion.
-    let sweep: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
-    let mut par_rows = Vec::new();
-    for case in &cases {
-        let runs: Vec<(usize, Run)> = sweep
-            .iter()
-            .map(|&t| (t, run_reach_at(case, Some((case.target, case.value)), t)))
-            .collect();
-        for (t, run) in &runs[1..] {
-            if let Err(msg) = check_agreement(&runs[0].1, run) {
-                eprintln!(
-                    "mcbench: parallel DISAGREEMENT on {}/{} at {t} threads: {msg}",
-                    case.name, case.target_name
-                );
-                return ExitCode::from(1);
-            }
-        }
-        let row = ParRow {
-            design: case.name.clone(),
-            target: case.target_name.clone(),
-            registers: case.spec.registers.len(),
-            runs,
-        };
-        let cols: Vec<String> = row
-            .runs
-            .iter()
-            .enumerate()
-            .map(|(k, (t, r))| format!("{t}t {:>7.1} ms ({:.2}x)", r.reach_ms, row.speedup(k)))
-            .collect();
-        println!("parallel ok: {:<14} {}", row.design, cols.join("  "));
-        par_rows.push(row);
-    }
-
-    println!();
-
-    // Section 5: ordering. Cold seed order vs. FORCE pre-order vs. a warm
+    // Section 4: ordering. Cold seed order vs. FORCE pre-order vs. a warm
     // start from the store the cold run saved. The gates are semantic
     // (verdict, steps, per-ring cardinalities); the times are the payoff.
     let cache_dir = std::env::temp_dir().join("rfn-mcbench-order");
@@ -396,7 +331,7 @@ fn main() -> ExitCode {
 
     println!();
 
-    // Section 6: multi-property grouping. Per design, one shared fixpoint
+    // Section 5: multi-property grouping. Per design, one shared fixpoint
     // must resolve several targets with the depths dedicated runs find;
     // then the synthetic portfolio gates the session-level speedup.
     let mut multi_rows = Vec::new();
@@ -452,7 +387,6 @@ fn main() -> ExitCode {
     let json = render_json(
         &reach_rows,
         &verdict_rows,
-        &par_rows,
         &order_rows,
         &multi_rows,
         &synthetic,
@@ -710,8 +644,6 @@ fn run_seed_reach(case: &Case, target: Option<(SignalId, bool)>) -> Run {
         verdict,
         reached_nodes: model.manager_ref().size(reached),
         ring_nodes: rings.iter().map(|&r| model.manager_ref().size(r)).collect(),
-        shard_locks: 0,
-        shard_contended: 0,
     }
 }
 
@@ -720,11 +652,6 @@ fn run_seed_reach(case: &Case, target: Option<(SignalId, bool)>) -> Run {
 /// `--no-frontier-simplify` override). `target` of `None` runs a pure
 /// reachability sweep (target never hit).
 fn run_reach(case: &Case, target: Option<(SignalId, bool)>) -> Run {
-    run_reach_at(case, target, 1)
-}
-
-/// [`run_reach`] at an explicit `bdd_threads` setting (section 4's sweep).
-fn run_reach_at(case: &Case, target: Option<(SignalId, bool)>, bdd_threads: usize) -> Run {
     let cluster_limit =
         rfn_bench::cluster_limit_from_args().unwrap_or(rfn_mc::DEFAULT_CLUSTER_LIMIT);
     let frontier_simplify = rfn_bench::frontier_simplify_from_args();
@@ -733,8 +660,7 @@ fn run_reach_at(case: &Case, target: Option<(SignalId, bool)>, bdd_threads: usiz
         .with_max_steps(case.steps)
         .with_reorder(false)
         .with_cluster_limit(cluster_limit)
-        .with_frontier_simplify(frontier_simplify)
-        .with_bdd_threads(bdd_threads);
+        .with_frontier_simplify(frontier_simplify);
     // Snapshot the counters so the probe delta covers the fixpoint only,
     // not the transition-relation build (whose cost `build_ms` reports).
     let before = model.manager_ref().stats();
@@ -760,12 +686,10 @@ fn run_reach_at(case: &Case, target: Option<(SignalId, bool)>, bdd_threads: usiz
             .iter()
             .map(|&r| model.manager_ref().size(r))
             .collect(),
-        shard_locks: stats.shard_locks,
-        shard_contended: stats.shard_contended,
     }
 }
 
-/// One ordering case (section 5), end to end: a cold seed run that
+/// One ordering case (section 4), end to end: a cold seed run that
 /// persists its converged order and rings to `cache_dir`, a cold FORCE
 /// run, and a warm run that loads the store back from disk. Both
 /// challengers must agree with the cold run exactly; under `--smoke` the
@@ -823,12 +747,12 @@ fn ordering_case(
     })
 }
 
-/// One ordering run (section 5): cold seed order, cold FORCE order, or —
+/// One ordering run (section 4): cold seed order, cold FORCE order, or —
 /// when `warm` carries the store a previous run saved — the warm-start
-/// repeat path. Reordering runs under the default doubling schedule at the
-/// default sift floor; only `--smoke`, whose shrunken designs would never
-/// cross that floor, lowers it so the DVO scheduler (and the sifts-less
-/// warm-start gate) is still exercised. The model and full reach result
+/// repeat path. Reordering runs under the doubling trigger at the default
+/// sift floor; only `--smoke`, whose shrunken designs would never cross
+/// that floor, lowers it so the trigger (and the sifts-less warm-start
+/// gate) is still exercised. The model and full reach result
 /// are returned so the caller can run exact cross-run equality checks.
 fn run_order_reach<'n>(
     case: &'n Case,
@@ -961,7 +885,7 @@ fn check_agreement(linear: &Run, clustered: &Run) -> Result<(), String> {
     Ok(())
 }
 
-/// The section-6 target list for a case: the real case target plus the
+/// The section-5 target list for a case: the real case target plus the
 /// first two bounded-abstraction registers as value-1 sub-targets, all on
 /// the given model's manager.
 fn group_targets(model: &mut SymbolicModel, case: &Case) -> Vec<Bdd> {
@@ -980,7 +904,7 @@ fn group_targets(model: &mut SymbolicModel, case: &Case) -> Vec<Bdd> {
     targets
 }
 
-/// One multi-target case (section 6): every target's verdict and hit depth
+/// One multi-target case (section 5): every target's verdict and hit depth
 /// from the shared `forward_reach_multi` fixpoint must equal its dedicated
 /// `forward_reach` run's.
 fn multi_target_case(case: &Case) -> Result<MultiRow, String> {
@@ -1021,7 +945,7 @@ fn multi_target_case(case: &Case) -> Result<MultiRow, String> {
     })
 }
 
-/// The session-level synthetic comparison (section 6): the many-property
+/// The session-level synthetic comparison (section 5): the many-property
 /// synthetic verified grouped and ungrouped through `VerifySession` at one
 /// thread. Verdict/depth equality and at least one non-singleton group are
 /// hard gates here; the 2x speedup gate is applied by the caller outside
@@ -1094,7 +1018,6 @@ fn render_order_run(run: &OrderRun) -> String {
 fn render_json(
     reach: &[ReachRow],
     verdicts: &[VerdictRow],
-    parallel: &[ParRow],
     ordering: &[OrderRow],
     multi: &[MultiRow],
     synthetic: &SyntheticRow,
@@ -1132,33 +1055,6 @@ fn render_json(
             v.design, v.target, v.linear_ms, v.clustered_ms
         );
         s.push_str(if k + 1 < verdicts.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n  \"parallel\": [\n");
-    for (k, p) in parallel.iter().enumerate() {
-        let runs: Vec<String> = p
-            .runs
-            .iter()
-            .enumerate()
-            .map(|(j, (t, r))| {
-                format!(
-                    "{{\"threads\": {t}, \"reach_ms\": {:.1}, \"speedup\": {:.2}, \
-                     \"shard_locks\": {}, \"shard_contended\": {}, \"agree\": true}}",
-                    r.reach_ms,
-                    p.speedup(j),
-                    r.shard_locks,
-                    r.shard_contended
-                )
-            })
-            .collect();
-        let _ = write!(
-            s,
-            "    {{\"design\": \"{}\", \"target\": \"{}\", \"registers\": {}, \"runs\": [{}]}}",
-            p.design,
-            p.target,
-            p.registers,
-            runs.join(", ")
-        );
-        s.push_str(if k + 1 < parallel.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ],\n  \"ordering\": [\n");
     for (k, o) in ordering.iter().enumerate() {

@@ -66,7 +66,7 @@ fn run_once(
 ) -> Result<RunSummary, String> {
     let mut options = RfnOptions::default().with_order_cache_dir(cache_dir);
     // Smoke-scale sift floor: the fifo abstractions stay small, and the
-    // default floor would leave the reorder scheduler idle in both runs.
+    // default floor would leave the reorder trigger idle in both runs.
     options.reach.reorder_threshold = 500;
     let outcome = Rfn::new(netlist, property, options)
         .map_err(|e| format!("building RFN loop: {e}"))?

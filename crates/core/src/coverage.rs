@@ -131,15 +131,6 @@ impl CoverageOptions {
         self
     }
 
-    /// Sets the number of image-computation worker threads in every forward
-    /// fixpoint (`1` = the serial engine; results are identical for any
-    /// thread count).
-    #[must_use]
-    pub fn with_bdd_threads(mut self, threads: usize) -> Self {
-        self.reach.bdd_threads = threads.max(1);
-        self
-    }
-
     /// Attaches a structured-event context.
     #[must_use]
     pub fn with_trace(mut self, trace: TraceCtx) -> Self {

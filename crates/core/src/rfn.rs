@@ -166,14 +166,6 @@ impl RfnOptions {
         self
     }
 
-    /// Selects the dynamic-reordering schedule used by every forward
-    /// fixpoint (see [`rfn_mc::DvoPolicy`]).
-    #[must_use]
-    pub fn with_dvo(mut self, dvo: rfn_mc::DvoPolicy) -> Self {
-        self.reach.dvo = dvo;
-        self
-    }
-
     /// The wall-clock limit of the run's budget, if bounded.
     pub fn time_limit(&self) -> Option<Duration> {
         self.common.time_limit()
@@ -206,15 +198,6 @@ impl RfnOptions {
     #[must_use]
     pub fn with_frontier_simplify(mut self, simplify: bool) -> Self {
         self.reach.frontier_simplify = simplify;
-        self
-    }
-
-    /// Sets the number of image-computation worker threads in every forward
-    /// fixpoint (`1` = the serial engine; results are identical for any
-    /// thread count).
-    #[must_use]
-    pub fn with_bdd_threads(mut self, threads: usize) -> Self {
-        self.reach.bdd_threads = threads.max(1);
         self
     }
 

@@ -44,7 +44,6 @@ mod group;
 mod model;
 mod multi;
 mod options;
-mod par;
 mod plain;
 mod reach;
 pub mod store;
@@ -57,9 +56,8 @@ pub use model::{
 };
 pub use multi::{forward_reach_multi, forward_reach_multi_warm, MultiReachResult, TargetVerdict};
 pub use options::CommonOptions;
-pub use par::ParImage;
 pub use plain::{verify_plain, PlainOptions, PlainReport, PlainVerdict};
 pub use reach::{
     forward_reach, forward_reach_warm, AbortReason, ReachOptions, ReachResult, ReachVerdict,
 };
-pub use rfn_bdd::{BddStats, DvoPolicy, StoreError};
+pub use rfn_bdd::{BddStats, StoreError};

@@ -121,9 +121,9 @@ impl Default for ModelOptions {
 /// accumulated product (fused `and_exists`), quantifying `cube` — the
 /// variables no later step mentions — immediately.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ImageStep {
-    pub(crate) rel: Bdd,
-    pub(crate) cube: Bdd,
+struct ImageStep {
+    rel: Bdd,
+    cube: Bdd,
 }
 
 /// A precomputed early-quantification schedule over the clusters of a
@@ -131,12 +131,12 @@ pub(crate) struct ImageStep {
 /// quantify current-state and input variables, pre-images next-state
 /// variables).
 #[derive(Clone, Debug, Default)]
-pub(crate) struct ImageSchedule {
+struct ImageSchedule {
     /// Clusters in IWLS95 benefit order with their quantification cubes.
-    pub(crate) steps: Vec<ImageStep>,
+    steps: Vec<ImageStep>,
     /// Cube of quantified variables mentioned by no cluster at all,
     /// quantified after the last conjunction; `None` when empty.
-    pub(crate) residual: Option<Bdd>,
+    residual: Option<Bdd>,
 }
 
 impl ImageSchedule {
@@ -190,22 +190,6 @@ impl TransitionRelation {
     /// Input variables this relation's functions mention.
     pub fn input_vars(&self) -> &[VarId] {
         &self.input_vars
-    }
-
-    /// The precomputed post-image schedule (parallel image computation
-    /// replays it on a shared manager).
-    pub(crate) fn post_sched(&self) -> &ImageSchedule {
-        &self.post
-    }
-
-    /// The precomputed pre-image schedule.
-    pub(crate) fn pre_sched(&self) -> &ImageSchedule {
-        &self.pre
-    }
-
-    /// Cube of all input variables (quantified by the plain pre-image).
-    pub(crate) fn input_cube(&self) -> Bdd {
-        self.input_cube
     }
 
     /// Roots to keep alive across garbage collection: partitions, clusters,

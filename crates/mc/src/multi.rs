@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-use rfn_bdd::{Bdd, BddError, BddStats, DvoPolicy};
+use rfn_bdd::{Bdd, BddError, BddStats, DoublingTrigger};
 use rfn_govern::GovPhase;
 
 use crate::reach::{or_all, record_budget, reorder_step, simplify_frontier};
@@ -120,25 +120,13 @@ pub fn forward_reach_multi_warm(
     if options.auto_gc {
         model.manager().set_auto_gc(true);
     }
-    let mut par = (options.bdd_threads > 1)
-        .then(|| crate::ParImage::new(options.bdd_threads, options.common.budget.clone()));
-    let result = multi_loop(
-        model,
-        targets,
-        options,
-        &mut protect_log,
-        &mut par,
-        saved_rings,
-    );
+    let result = multi_loop(model, targets, options, &mut protect_log, saved_rings);
     model.manager().set_auto_gc(false);
     for &b in &protect_log {
         model.manager().unprotect(b);
     }
     let result = result.map(|mut r| {
         r.stats = model.manager_ref().stats();
-        if let Some(p) = &par {
-            r.stats.merge(&p.stats());
-        }
         r
     });
     if let Ok(r) = &result {
@@ -235,15 +223,12 @@ fn multi_loop(
     targets: &[Bdd],
     options: &ReachOptions,
     protect_log: &mut Vec<Bdd>,
-    par: &mut Option<crate::ParImage>,
     saved_rings: &[Bdd],
 ) -> Result<MultiReachResult, McError> {
     let deadline = options.common.budget.deadline_for(GovPhase::Reach);
-    let mut dvo = if options.reorder {
-        options.dvo.build(options.reorder_threshold)
-    } else {
-        DvoPolicy::Never.build(usize::MAX)
-    };
+    let mut trigger = options
+        .reorder
+        .then(|| DoublingTrigger::new(options.reorder_threshold));
     let mut pending = Pending::new(targets.len());
     let init = match model.init_states() {
         Ok(b) => b,
@@ -374,24 +359,15 @@ fn multi_loop(
         } else {
             frontier
         };
-        let step_result = {
-            let img = match par.as_mut() {
-                Some(p) => p.post_image(model, src),
-                None => model.post_image(src),
-            };
-            match img {
-                Ok(img) => {
-                    model.manager().protect(img);
-                    let new = model
-                        .manager()
-                        .not(reached)
-                        .and_then(|nr| model.manager().and(img, nr));
-                    model.manager().unprotect(img);
-                    new
-                }
-                Err(e) => Err(e),
-            }
-        };
+        let step_result = model.post_image(src).and_then(|img| {
+            model.manager().protect(img);
+            let new = model
+                .manager()
+                .not(reached)
+                .and_then(|nr| model.manager().and(img, nr));
+            model.manager().unprotect(img);
+            new
+        });
         let new = match step_result {
             Ok(new) => new,
             Err(e) => {
@@ -466,12 +442,14 @@ fn multi_loop(
             });
         }
         frontier = new;
-        let held = rings
-            .iter()
-            .chain(targets)
-            .copied()
-            .chain([reached, frontier]);
-        reorder_step(model, dvo.as_mut(), held, options, par);
+        if let Some(trigger) = &mut trigger {
+            let held = rings
+                .iter()
+                .chain(targets)
+                .copied()
+                .chain([reached, frontier]);
+            reorder_step(model, trigger, held, options);
+        }
     }
 }
 

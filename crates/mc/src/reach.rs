@@ -3,31 +3,29 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use rfn_bdd::{Bdd, BddError, BddStats, DvoPolicy, DvoSchedule};
+use rfn_bdd::{Bdd, BddError, BddStats, DoublingTrigger};
 use rfn_govern::{Budget, Exhaustion, GovPhase};
 use rfn_trace::TraceCtx;
 
 use crate::{CommonOptions, McError, SymbolicModel};
+
+/// How far a scheduled sift pass lets the table grow while it moves one
+/// group (see [`BddManager::sift_with_roots`](rfn_bdd::BddManager::sift_with_roots)).
+const SIFT_GROWTH_LIMIT: f64 = 1.5;
 
 /// Configuration for [`forward_reach`].
 #[derive(Clone, Debug)]
 pub struct ReachOptions {
     /// Maximum image steps before giving up.
     pub max_steps: usize,
-    /// Enable dynamic variable reordering between images.
+    /// Enable dynamic variable reordering between images: a sift pass runs
+    /// whenever the live node count has doubled past the trigger floor (see
+    /// [`DoublingTrigger`]).
     pub reorder: bool,
-    /// The reorder trigger floor: no schedule sifts while the live node
-    /// count is at or below it. Loops that run one fixpoint per iteration
-    /// carry it across the run (see [`ReachOptions::back_off_reorder`]).
+    /// The reorder trigger floor: no sift runs while the live node count is
+    /// at or below it. Loops that run one fixpoint per iteration carry it
+    /// across the run (see [`ReachOptions::back_off_reorder`]).
     pub reorder_threshold: usize,
-    /// Sifting growth bound.
-    pub max_growth: f64,
-    /// *When* reordering runs, once [`reorder`](ReachOptions::reorder) says
-    /// it may: a declarative schedule ([`DvoPolicy::Doubling`] reproduces
-    /// the historical fixed trigger exactly and is the default; growth-ratio,
-    /// wall-clock and backoff policies are available via `--dvo-schedule`).
-    /// The trigger floor is [`reorder_threshold`](ReachOptions::reorder_threshold).
-    pub dvo: DvoPolicy,
     /// The budget and trace context shared with every other engine (see
     /// [`CommonOptions`]). The budget governs the fixpoint — wall-clock
     /// deadline (plus an optional [`GovPhase::Reach`] quota), cancellation,
@@ -60,13 +58,6 @@ pub struct ReachOptions {
     /// which leaves every ring and the verdict unchanged while shrinking the
     /// BDD fed to the image.
     pub frontier_simplify: bool,
-    /// Worker threads for image computation. `1` (the default) keeps the
-    /// serial engine untouched; above one, every post/pre-image is fanned
-    /// across this many scoped worker threads on a sidecar
-    /// [`SharedBddManager`](rfn_bdd::SharedBddManager) via [`ParImage`](crate::ParImage).
-    /// Verdicts, rings, step counts and the reached set are bit-identical
-    /// for every thread count (see the [`par`](crate::ParImage) docs).
-    pub bdd_threads: usize,
 }
 
 impl Default for ReachOptions {
@@ -75,14 +66,11 @@ impl Default for ReachOptions {
             max_steps: usize::MAX,
             reorder: true,
             reorder_threshold: 20_000,
-            max_growth: 1.5,
-            dvo: DvoPolicy::Doubling,
             common: CommonOptions::default(),
             auto_gc: true,
             cluster_limit: crate::DEFAULT_CLUSTER_LIMIT,
             static_order: crate::StaticOrder::Seed,
             frontier_simplify: true,
-            bdd_threads: 1,
         }
     }
 }
@@ -99,13 +87,6 @@ impl ReachOptions {
     #[must_use]
     pub fn with_reorder(mut self, reorder: bool) -> Self {
         self.reorder = reorder;
-        self
-    }
-
-    /// Selects the dynamic-reordering schedule (see [`DvoPolicy`]).
-    #[must_use]
-    pub fn with_dvo(mut self, dvo: DvoPolicy) -> Self {
-        self.dvo = dvo;
         self
     }
 
@@ -156,14 +137,6 @@ impl ReachOptions {
     #[must_use]
     pub fn with_frontier_simplify(mut self, simplify: bool) -> Self {
         self.frontier_simplify = simplify;
-        self
-    }
-
-    /// Sets the number of image-computation worker threads (`1` = serial;
-    /// values below one are treated as `1`).
-    #[must_use]
-    pub fn with_bdd_threads(mut self, threads: usize) -> Self {
-        self.bdd_threads = threads.max(1);
         self
     }
 
@@ -355,30 +328,13 @@ pub fn forward_reach_warm(
     if options.auto_gc {
         model.manager().set_auto_gc(true);
     }
-    // Above one thread, images run on a sidecar shared manager; results are
-    // imported back, so everything downstream of this dispatch is identical.
-    let mut par = (options.bdd_threads > 1)
-        .then(|| crate::ParImage::new(options.bdd_threads, options.common.budget.clone()));
-    let result = reach_loop(
-        model,
-        targets,
-        options,
-        &mut protect_log,
-        &mut par,
-        saved_rings,
-    );
+    let result = reach_loop(model, targets, options, &mut protect_log, saved_rings);
     model.manager().set_auto_gc(false);
     for &b in &protect_log {
         model.manager().unprotect(b);
     }
     let result = result.map(|mut r| {
         r.stats = model.manager_ref().stats();
-        if let Some(p) = &par {
-            // Fold the shared kernel's counters (including the shard/lock
-            // contention counters the serial kernel leaves at zero) into the
-            // reported stats.
-            r.stats.merge(&p.stats());
-        }
         r
     });
     if let Ok(r) = &result {
@@ -398,20 +354,6 @@ pub fn forward_reach_warm(
         span.record("rings", r.rings.len());
         span.record("clusters", model.transition().num_clusters());
         span.record("peak_nodes", r.peak_nodes);
-        // Parallel-engine fields only when the parallel path ran, keeping
-        // serial (`bdd_threads: 1`) traces byte-identical.
-        if let Some(p) = &par {
-            let ps = p.stats();
-            span.record("par.threads", p.threads());
-            span.record("par.shard_locks", ps.shard_locks);
-            span.record("par.shard_contended", ps.shard_contended);
-            span.record("par.shard_peak_occupancy", ps.shard_peak_occupancy);
-            // The small-frontier fallback decision, per image: how many
-            // images ran on the worker pool vs. fell back to the serial
-            // path because the frontier was below the cost threshold.
-            span.record("par.parallel_images", p.parallel_images());
-            span.record("par.fallback_images", p.fallback_images());
-        }
         // Sift bookkeeping and warm-start provenance appear only when the
         // feature actually ran, keeping legacy traces byte-identical.
         if r.stats.sift_runs > 0 {
@@ -451,15 +393,12 @@ fn reach_loop(
     targets: Bdd,
     options: &ReachOptions,
     protect_log: &mut Vec<Bdd>,
-    par: &mut Option<crate::ParImage>,
     saved_rings: &[Bdd],
 ) -> Result<ReachResult, McError> {
     let deadline = options.common.budget.deadline_for(GovPhase::Reach);
-    let mut dvo = if options.reorder {
-        options.dvo.build(options.reorder_threshold)
-    } else {
-        DvoPolicy::Never.build(usize::MAX)
-    };
+    let mut trigger = options
+        .reorder
+        .then(|| DoublingTrigger::new(options.reorder_threshold));
     let init = match model.init_states() {
         Ok(b) => b,
         Err(e) => return Ok(aborted(model, vec![], 0, AbortReason::of(&e))),
@@ -602,24 +541,15 @@ fn reach_loop(
         };
         // `img` is held across the `not`, where it is not an operand, so it
         // needs transient protection from the collector.
-        let step_result = {
-            let img = match par.as_mut() {
-                Some(p) => p.post_image(model, src),
-                None => model.post_image(src),
-            };
-            match img {
-                Ok(img) => {
-                    model.manager().protect(img);
-                    let new = model
-                        .manager()
-                        .not(reached)
-                        .and_then(|nr| model.manager().and(img, nr));
-                    model.manager().unprotect(img);
-                    new
-                }
-                Err(e) => Err(e),
-            }
-        };
+        let step_result = model.post_image(src).and_then(|img| {
+            model.manager().protect(img);
+            let new = model
+                .manager()
+                .not(reached)
+                .and_then(|nr| model.manager().and(img, nr));
+            model.manager().unprotect(img);
+            new
+        });
         let new = match step_result {
             Ok(new) => new,
             Err(e) => {
@@ -693,38 +623,34 @@ fn reach_loop(
             }
         }
         frontier = new;
-        let held = rings.iter().copied().chain([reached, targets, frontier]);
-        reorder_step(model, dvo.as_mut(), held, options, par);
+        if let Some(trigger) = &mut trigger {
+            let held = rings.iter().copied().chain([reached, targets, frontier]);
+            reorder_step(model, trigger, held, options);
+        }
     }
 }
 
-/// The reorder step both reach loops run after each image (see
+/// The reorder step both reach loops run after each image when
+/// [`ReachOptions::reorder`] is set (see
 /// [`BddManager::scheduled_sift`](rfn_bdd::BddManager::scheduled_sift)):
-/// the schedule is asked at the allocated node count, and only if it says
+/// the trigger is asked at the allocated node count, and only if it says
 /// yes does a collection with the model's roots plus `held` let it decide
 /// at the live count. A pass that runs is traced as a `sift` point with the
 /// live counts around it and the trigger floor.
 pub(crate) fn reorder_step(
     model: &mut SymbolicModel<'_>,
-    dvo: &mut dyn DvoSchedule,
+    trigger: &mut DoublingTrigger,
     held: impl IntoIterator<Item = Bdd>,
     options: &ReachOptions,
-    par: &mut Option<crate::ParImage>,
 ) {
     let mut roots = model.persistent_roots();
     roots.extend(held);
     let Some((before, after)) = model
         .manager()
-        .scheduled_sift(&roots, options.max_growth, dvo)
+        .scheduled_sift(&roots, SIFT_GROWTH_LIMIT, trigger)
     else {
         return;
     };
-    // The shared manager's variable order no longer matches: drop it and
-    // every exported handle. The next image rebuilds both under the new
-    // order.
-    if let Some(p) = par.as_mut() {
-        p.invalidate();
-    }
     options.common.trace.point(
         "sift",
         vec![

@@ -27,7 +27,7 @@
 //! through [`ParseError`] (binary sections report the line of the byte
 //! stream's start).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::netlist::NetKind;
@@ -104,7 +104,6 @@ struct Latch {
 /// Intermediate representation of a fully scanned AIGER file.
 #[derive(Default)]
 struct AigerFile {
-    max_var: u64,
     inputs: Vec<u64>,
     latches: Vec<Latch>,
     outputs: Vec<u64>,
@@ -241,16 +240,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Variable definition site, used to reject duplicates and dangling
-/// references.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum VarDef {
-    Undefined,
-    Input(usize),
-    Latch(usize),
-    And(usize),
-}
-
 /// Parses an AIGER file (ascii `aag` or binary `aig` format, auto-detected
 /// from the header) into a netlist plus safety properties.
 ///
@@ -316,23 +305,22 @@ pub fn parse_aiger(bytes: &[u8], name: &str) -> Result<AigerDesign, ParseError> 
     cur.expect_newline()?;
 
     let mut file = AigerFile {
-        max_var: m,
         has_bad_section: header.len() >= 6,
         ..AigerFile::default()
     };
-    let mut defs = vec![VarDef::Undefined; (m + 1) as usize];
-    let mut define = |cur: &Cursor<'_>, lit: u64, def: VarDef| -> Result<(), ParseError> {
+    // Variables the file defines. A set, not a table indexed up to M: the
+    // header's M may be far larger than the definitions that follow it.
+    let mut defined: HashSet<u64> = HashSet::new();
+    let mut define = |cur: &Cursor<'_>, lit: u64| -> Result<(), ParseError> {
         if lit & 1 != 0 {
             return Err(cur.err(format!("literal {lit} must not be complemented here")));
         }
         if lit == 0 || lit > 2 * m {
             return Err(cur.err(format!("literal {lit} out of range for M = {m}")));
         }
-        let slot = &mut defs[(lit >> 1) as usize];
-        if *slot != VarDef::Undefined {
+        if !defined.insert(lit >> 1) {
             return Err(cur.err(format!("variable {} defined twice", lit >> 1)));
         }
-        *slot = def;
         Ok(())
     };
     let check_lit = |cur: &Cursor<'_>, lit: u64| -> Result<u64, ParseError> {
@@ -351,7 +339,7 @@ pub fn parse_aiger(bytes: &[u8], name: &str) -> Result<AigerDesign, ParseError> 
             cur.expect_newline()?;
             lit
         };
-        define(&cur, lit, VarDef::Input(k as usize))?;
+        define(&cur, lit)?;
         file.inputs.push(lit);
     }
     // Latches: `lhs next [init]` (ascii) or `next [init]` (binary).
@@ -363,7 +351,7 @@ pub fn parse_aiger(bytes: &[u8], name: &str) -> Result<AigerDesign, ParseError> 
             cur.expect_space()?;
             lit
         };
-        define(&cur, lit, VarDef::Latch(k as usize))?;
+        define(&cur, lit)?;
         let next = cur.read_uint()?;
         let next = check_lit(&cur, next)?;
         let init = if cur.peek() == Some(b' ') {
@@ -402,7 +390,6 @@ pub fn parse_aiger(bytes: &[u8], name: &str) -> Result<AigerDesign, ParseError> 
     if binary {
         for k in 0..a {
             let lhs = 2 * (i + l + k + 1);
-            defs[(lhs >> 1) as usize] = VarDef::And(k as usize);
             let delta0 = cur.read_varint()?;
             if delta0 == 0 || delta0 > lhs {
                 return Err(cur.err(format!(
@@ -420,9 +407,9 @@ pub fn parse_aiger(bytes: &[u8], name: &str) -> Result<AigerDesign, ParseError> 
             file.ands.push((lhs, rhs0, rhs1));
         }
     } else {
-        for k in 0..a {
+        for _ in 0..a {
             let lhs = cur.read_uint()?;
-            define(&cur, lhs, VarDef::And(k as usize))?;
+            define(&cur, lhs)?;
             cur.expect_space()?;
             let rhs0 = cur.read_uint()?;
             let rhs0 = check_lit(&cur, rhs0)?;
@@ -467,16 +454,11 @@ pub fn parse_aiger(bytes: &[u8], name: &str) -> Result<AigerDesign, ParseError> 
         }
     }
 
-    build_netlist(file, defs, name, binary)
+    build_netlist(file, name, binary)
 }
 
 /// Second pass: materialize the scanned file as a `Netlist` + properties.
-fn build_netlist(
-    file: AigerFile,
-    defs: Vec<VarDef>,
-    name: &str,
-    binary: bool,
-) -> Result<AigerDesign, ParseError> {
+fn build_netlist(file: AigerFile, name: &str, binary: bool) -> Result<AigerDesign, ParseError> {
     let dangling = |lit: u64| {
         ParseError::new(
             0,
@@ -485,13 +467,14 @@ fn build_netlist(
         )
     };
     let mut n = Netlist::new(name);
-    let mut var_sig: Vec<Option<SignalId>> = vec![None; (file.max_var + 1) as usize];
+    let mut var_sig: HashMap<u64, SignalId> =
+        HashMap::with_capacity(file.inputs.len() + file.latches.len() + file.ands.len());
     // Definition order: inputs, latches, then and placeholders, so every
     // variable exists before literals are resolved (AIGER allows forward
     // references in the ascii format).
     for (k, &lit) in file.inputs.iter().enumerate() {
         let nm = file.input_names.get(&k).cloned().unwrap_or_default();
-        var_sig[(lit >> 1) as usize] = Some(n.add_input(&nm));
+        var_sig.insert(lit >> 1, n.add_input(&nm));
     }
     for (k, latch) in file.latches.iter().enumerate() {
         let nm = file.latch_names.get(&k).cloned().unwrap_or_default();
@@ -500,10 +483,10 @@ fn build_netlist(
             LatchInit::One => Some(true),
             LatchInit::Unknown => None,
         };
-        var_sig[(latch.lit >> 1) as usize] = Some(n.add_register(&nm, init));
+        var_sig.insert(latch.lit >> 1, n.add_register(&nm, init));
     }
     for &(lhs, _, _) in &file.ands {
-        var_sig[(lhs >> 1) as usize] = Some(n.add_gate("", GateOp::And, &[]));
+        var_sig.insert(lhs >> 1, n.add_gate("", GateOp::And, &[]));
     }
 
     // Literal resolution: constants and complement edges are materialized
@@ -511,15 +494,11 @@ fn build_netlist(
     let mut const_sig: [Option<SignalId>; 2] = [None, None];
     let mut not_cache: HashMap<SignalId, SignalId> = HashMap::new();
     let mut lit_sig = |n: &mut Netlist, lit: u64| -> Result<SignalId, ParseError> {
-        let var = (lit >> 1) as usize;
-        if var == 0 {
+        if lit >> 1 == 0 {
             let v = (lit & 1) == 1;
             return Ok(*const_sig[v as usize].get_or_insert_with(|| n.add_const("", v)));
         }
-        if defs[var] == VarDef::Undefined {
-            return Err(dangling(lit));
-        }
-        let base = var_sig[var].expect("defined variables were materialized");
+        let base = *var_sig.get(&(lit >> 1)).ok_or_else(|| dangling(lit))?;
         if lit & 1 == 0 {
             Ok(base)
         } else {
@@ -531,12 +510,12 @@ fn build_netlist(
 
     for &(lhs, rhs0, rhs1) in &file.ands {
         let fanins = vec![lit_sig(&mut n, rhs0)?, lit_sig(&mut n, rhs1)?];
-        let sig = var_sig[(lhs >> 1) as usize].expect("and gates were materialized");
+        let sig = var_sig[&(lhs >> 1)];
         n.replace_gate_fanins(sig, GateOp::And, fanins);
     }
     for latch in &file.latches {
         let next = lit_sig(&mut n, latch.next)?;
-        let reg = var_sig[(latch.lit >> 1) as usize].expect("latches were materialized");
+        let reg = var_sig[&(latch.lit >> 1)];
         n.set_register_next(reg, next)
             .map_err(|e| ParseError::new(0, 0, format!("invalid AIGER netlist: {e}")))?;
     }
@@ -896,6 +875,23 @@ mod tests {
         let src = "aag 2 1 0 1 0\n2\n4\n";
         let e = parse_aiger(src.as_bytes(), "t").unwrap_err();
         assert!(e.message.contains("undefined variable"), "{e}");
+    }
+
+    /// M only bounds the variable indices: at the cap, a one-input design
+    /// parses in memory proportional to its two definitions, even when it
+    /// uses the highest variable.
+    #[test]
+    fn header_m_at_the_cap_sizes_nothing() {
+        let m = u64::from(u32::MAX / 2);
+        for lit in [2, 2 * m] {
+            let src = format!("aag {m} 1 0 1 0\n{lit}\n{lit}\n");
+            let d = parse_aiger(src.as_bytes(), "t").unwrap();
+            assert_eq!(d.netlist.inputs().len(), 1);
+            assert_eq!(d.properties.len(), 1);
+        }
+        let src = format!("aag {} 1 0 1 0\n2\n2\n", m + 1);
+        let e = parse_aiger(src.as_bytes(), "t").unwrap_err();
+        assert!(e.message.contains("too large"), "{e}");
     }
 
     #[test]

@@ -22,7 +22,10 @@ use crate::{Lit, Solver, Var};
 /// A parsed DIMACS CNF formula.
 #[derive(Clone, Debug, Default)]
 pub struct Dimacs {
-    /// Declared variable count (variables are 1-based in the file).
+    /// Declared variable count (variables are 1-based in the file). It is
+    /// an upper bound, not an allocation request: only variables up to the
+    /// largest one a clause mentions become solver variables or netlist
+    /// inputs.
     pub num_vars: usize,
     /// Clauses as `(variable index, negated)` pairs; variable indices are
     /// 0-based.
@@ -151,10 +154,23 @@ pub fn parse_dimacs(text: &str) -> Result<Dimacs, ParseError> {
 }
 
 impl Dimacs {
+    /// The largest variable any clause mentions (0 for none). Declared
+    /// variables above it are unconstrained, so leaving them out changes no
+    /// verdict.
+    fn used_vars(&self) -> usize {
+        self.clauses
+            .iter()
+            .flatten()
+            .map(|&(v, _)| v + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Loads the formula into a [`Solver`], returning the solver variable
-    /// for each DIMACS variable (index 0 is DIMACS variable 1).
+    /// for each DIMACS variable up to the largest one a clause mentions
+    /// (index 0 is DIMACS variable 1).
     pub fn load_into(&self, solver: &mut Solver) -> Vec<Var> {
-        let vars: Vec<Var> = (0..self.num_vars).map(|_| solver.new_var()).collect();
+        let vars: Vec<Var> = (0..self.used_vars()).map(|_| solver.new_var()).collect();
         for clause in &self.clauses {
             let lits: Vec<Lit> = clause.iter().map(|&(v, neg)| vars[v].lit(!neg)).collect();
             solver.add_clause(lits);
@@ -165,14 +181,15 @@ impl Dimacs {
     /// Builds a combinational netlist encoding the formula, plus the safety
     /// property "the formula is never satisfied".
     ///
-    /// Each DIMACS variable becomes a primary input `x1..xN`, each clause an
-    /// OR gate, and the conjunction drives an output named `sat`. The
+    /// Each DIMACS variable up to the largest one a clause mentions becomes
+    /// a primary input `x1..xN`, each clause an OR gate, and the conjunction
+    /// drives an output named `sat`. The
     /// returned property is `Proved` exactly when the formula is UNSAT and
     /// `Falsified` at depth 0 when it is SAT, so CNF problems run through
     /// the same portfolio as sequential designs.
     pub fn to_netlist(&self, name: &str) -> (Netlist, Property) {
         let mut n = Netlist::new(name);
-        let inputs: Vec<SignalId> = (1..=self.num_vars)
+        let inputs: Vec<SignalId> = (1..=self.used_vars())
             .map(|k| n.add_input(&format!("x{k}")))
             .collect();
         let mut clause_sigs = Vec::with_capacity(self.clauses.len());
@@ -257,6 +274,21 @@ mod tests {
     fn rejects_clause_count_mismatch() {
         let e = parse_dimacs("p cnf 1 2\n1 0\n").unwrap_err();
         assert!(e.message.contains("declares 2 clauses"), "{e}");
+    }
+
+    /// The header's variable count is only a bound: a huge one must not
+    /// allocate a variable per declared index.
+    #[test]
+    fn huge_declared_variable_count_allocates_only_used_variables() {
+        let d = parse_dimacs("p cnf 25681798172 2\n1 -2 0\n2 0\n").unwrap();
+        assert_eq!(d.num_vars, 25_681_798_172);
+        let mut s = Solver::new();
+        let vars = d.load_into(&mut s);
+        assert_eq!(vars.len(), 2);
+        assert_eq!(s.solve(&[]), SolveResult::Sat);
+        let (n, _) = d.to_netlist("cnf");
+        n.validate().unwrap();
+        assert_eq!(n.inputs().len(), 2);
     }
 
     #[test]

@@ -6,15 +6,14 @@
 //! rfn verify <design> [--watch <signal>[=0|1]] [--watch ...] [--name <p>]
 //!            [--engine <rfn|plain|bmc|race>]
 //!            [--time-limit <s>] [--threads <n>] [--sim-batches <n>]
-//!            [--sim-seed <n>] [--cluster-limit <nodes>] [--bdd-threads <n>]
-//!            [--static-order <seed|force>] [--dvo-schedule <spec>]
+//!            [--sim-seed <n>] [--cluster-limit <nodes>]
+//!            [--static-order <seed|force>]
 //!            [--order-cache-dir <dir>] [--group-threshold <t>] [--no-group]
 //!            [--checkpoint-dir <dir>] [--resume]
 //!            [--no-frontier-simplify] [--trace-out <file>] [--breakdown] [-v]
 //! rfn coverage <design> --signals <a,b,c> [--bfs <k>] [--time-limit <s>]
 //!              [--sim-batches <n>] [--sim-seed <n>] [--cluster-limit <nodes>]
-//!              [--bdd-threads <n>] [--static-order <seed|force>]
-//!              [--dvo-schedule <spec>] [--no-frontier-simplify]
+//!              [--static-order <seed|force>] [--no-frontier-simplify]
 //!              [--trace-out <file>] [--breakdown]
 //! ```
 //!
@@ -41,24 +40,11 @@
 //! partition used by image computation (0 keeps one partition per register);
 //! `--no-frontier-simplify` disables don't-care frontier minimization.
 //!
-//! `--bdd-threads` fans every image computation across that many worker
-//! threads on a shared BDD manager (1 = the serial engine). Verdicts, error
-//! traces and coverage counts are identical for any thread count; only the
-//! wall-clock changes. This is *intra*-property parallelism and composes
-//! with the `--threads` portfolio: each property job gets its own worker
-//! pool.
-//!
 //! `--static-order` picks the initial BDD variable order: `seed` interleaves
 //! register current/next pairs in declaration order (the default), `force`
 //! runs the FORCE center-of-gravity pre-ordering pass over the netlist
 //! topology before any BDD is built. Verdicts and reached-state sets are
 //! identical under either order; only node counts and wall-clock change.
-//!
-//! `--dvo-schedule` selects when dynamic variable reordering (sifting) runs:
-//! `never`, `doubling` (default: sift when live nodes double past a floor),
-//! `growth[:R]` (sift when live nodes grow by factor R since the last sift),
-//! `time[:MS]` (sift at most once per MS milliseconds), or `backoff[:R]`
-//! (growth-triggered, but the threshold backs off after unprofitable sifts).
 //!
 //! `--order-cache-dir <dir>` persists the converged variable order per
 //! (design, property) after a conclusive verdict and warm-starts repeat runs
@@ -94,6 +80,8 @@
 //! the results. Both observe the *same* event stream the engines emit — the
 //! table is computed from the events, so it can never disagree with the file.
 //!
+//! Any argument a subcommand does not know is a usage error (exit 2).
+//!
 //! Text netlists use the line-oriented format of
 //! [`rfn_netlist::parse_netlist`](rfn::netlist::parse_netlist); see
 //! `examples/custom_design.rs` for a complete design.
@@ -126,15 +114,14 @@ usage:
   rfn verify <design> [--watch <signal>[=0|1]] [--watch ...] [--name <p>]
              [--engine <rfn|plain|bmc|race>]
              [--time-limit <s>] [--threads <n>] [--sim-batches <n>]
-             [--sim-seed <n>] [--cluster-limit <nodes>] [--bdd-threads <n>]
-             [--static-order <seed|force>] [--dvo-schedule <spec>]
+             [--sim-seed <n>] [--cluster-limit <nodes>]
+             [--static-order <seed|force>]
              [--order-cache-dir <dir>] [--group-threshold <t>] [--no-group]
              [--checkpoint-dir <dir>] [--resume]
              [--no-frontier-simplify] [--trace-out <file>] [--breakdown] [-v]
   rfn coverage <design> --signals <a,b,c> [--bfs <k>] [--time-limit <s>]
                [--sim-batches <n>] [--sim-seed <n>] [--cluster-limit <nodes>]
-               [--bdd-threads <n>] [--static-order <seed|force>]
-               [--dvo-schedule <spec>] [--no-frontier-simplify]
+               [--static-order <seed|force>] [--no-frontier-simplify]
                [--trace-out <file>] [--breakdown]
 
 `<design>` is a design spec: builtin:<name> (fifo, integer_unit, usb,
@@ -150,11 +137,9 @@ lane wins and cancels the rest).
 engine (64 patterns per batch; 0 batches disables it).
 `--cluster-limit` bounds the clustered transition partitions of image
 computation (0 = one partition per register); `--no-frontier-simplify`
-turns off don't-care frontier minimization. `--bdd-threads` parallelizes
-each image computation itself (1 = serial; identical results either way).
+turns off don't-care frontier minimization.
 `--static-order` picks the initial BDD variable order (seed = declaration
-order, force = FORCE topological pre-ordering); `--dvo-schedule` picks the
-reorder trigger (never|doubling|growth[:R]|time[:MS]|backoff[:R]);
+order, force = FORCE topological pre-ordering);
 `--order-cache-dir` warm-starts repeat runs from the converged order saved
 per (design, property). Verdicts are identical under every ordering knob.
 With --engine plain/bmc, properties with overlapping register COIs share
@@ -170,23 +155,81 @@ prints a per-phase time table.
 exit codes: 0 all properties proved / analysis done, 1 some property
             falsified, 3 some property inconclusive (falsified wins)";
 
+/// The flags of `verify`, each with whether it takes a value.
+const VERIFY_FLAGS: &[(&str, bool)] = &[
+    ("--watch", true),
+    ("--name", true),
+    ("--engine", true),
+    ("--time-limit", true),
+    ("--threads", true),
+    ("--sim-batches", true),
+    ("--sim-seed", true),
+    ("--cluster-limit", true),
+    ("--static-order", true),
+    ("--order-cache-dir", true),
+    ("--group-threshold", true),
+    ("--no-group", false),
+    ("--checkpoint-dir", true),
+    ("--resume", false),
+    ("--no-frontier-simplify", false),
+    ("--trace-out", true),
+    ("--breakdown", false),
+    ("-v", false),
+];
+
+/// The flags of `coverage`, each with whether it takes a value.
+const COVERAGE_FLAGS: &[(&str, bool)] = &[
+    ("--signals", true),
+    ("--bfs", true),
+    ("--time-limit", true),
+    ("--sim-batches", true),
+    ("--sim-seed", true),
+    ("--cluster-limit", true),
+    ("--static-order", true),
+    ("--no-frontier-simplify", false),
+    ("--trace-out", true),
+    ("--breakdown", false),
+];
+
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut it = args.iter();
     let cmd = it.next().ok_or("missing subcommand")?;
+    let flags = match cmd.as_str() {
+        "info" => &[],
+        "verify" => VERIFY_FLAGS,
+        "coverage" => COVERAGE_FLAGS,
+        other => return Err(format!("unknown subcommand `{other}`")),
+    };
     let spec = it.next().ok_or("missing design spec")?;
+    let rest: Vec<&String> = it.collect();
+    check_flags(cmd, flags, &rest)?;
     let loaded = DesignSource::parse(spec)
         .and_then(|source| source.load())
         .map_err(|e| e.to_string())?;
-    let rest: Vec<&String> = it.collect();
     match cmd.as_str() {
         "info" => {
             info(&loaded);
             Ok(ExitCode::SUCCESS)
         }
         "verify" => verify(&loaded, &rest),
-        "coverage" => coverage(&loaded.design.netlist, &rest),
-        other => Err(format!("unknown subcommand `{other}`")),
+        _ => coverage(&loaded.design.netlist, &rest),
     }
+}
+
+/// Rejects every argument that is not one of `flags`, and a value flag
+/// with no value after it, so a typo cannot silently drop a setting.
+fn check_flags(cmd: &str, flags: &[(&str, bool)], rest: &[&String]) -> Result<(), String> {
+    let mut args = rest.iter();
+    while let Some(arg) = args.next() {
+        match flags.iter().find(|(flag, _)| flag == arg) {
+            None => return Err(format!("unknown argument `{arg}` for `{cmd}`")),
+            Some((flag, true)) if args.next().is_none() => {
+                return Err(format!("{flag} needs a value"))
+            }
+            Some(_) => {}
+        }
+    }
+    Ok(())
 }
 
 fn info(loaded: &LoadedDesign) {
@@ -272,9 +315,8 @@ fn sim_flags(rest: &[&String]) -> Result<(Option<usize>, Option<u64>), String> {
     Ok((batches, seed))
 }
 
-/// Parses `--cluster-limit` / `--no-frontier-simplify` / `--bdd-threads`
-/// into overrides.
-fn image_flags(rest: &[&String]) -> Result<(Option<usize>, bool, usize), String> {
+/// Parses `--cluster-limit` / `--no-frontier-simplify` into overrides.
+fn image_flags(rest: &[&String]) -> Result<(Option<usize>, bool), String> {
     let cluster_limit = match flag_value(rest, "--cluster-limit") {
         None => None,
         Some(s) => Some(
@@ -283,33 +325,14 @@ fn image_flags(rest: &[&String]) -> Result<(Option<usize>, bool, usize), String>
         ),
     };
     let frontier_simplify = !rest.iter().any(|a| a.as_str() == "--no-frontier-simplify");
-    let bdd_threads = match flag_value(rest, "--bdd-threads") {
-        None => 1,
-        Some(s) => s
-            .parse::<usize>()
-            .map(|n| n.max(1))
-            .map_err(|_| format!("bad --bdd-threads `{s}`"))?,
-    };
-    Ok((cluster_limit, frontier_simplify, bdd_threads))
+    Ok((cluster_limit, frontier_simplify))
 }
 
-/// Parses `--static-order` / `--dvo-schedule` into ordering overrides.
-fn order_flags(
-    rest: &[&String],
-) -> Result<(Option<rfn::mc::StaticOrder>, Option<rfn::mc::DvoPolicy>), String> {
-    let static_order = match flag_value(rest, "--static-order") {
-        None => None,
-        Some(s) => {
-            Some(rfn::mc::StaticOrder::parse(s).map_err(|e| format!("bad --static-order: {e}"))?)
-        }
-    };
-    let dvo = match flag_value(rest, "--dvo-schedule") {
-        None => None,
-        Some(s) => {
-            Some(rfn::mc::DvoPolicy::parse(s).map_err(|e| format!("bad --dvo-schedule: {e}"))?)
-        }
-    };
-    Ok((static_order, dvo))
+/// Parses `--static-order` into an ordering override.
+fn static_order_flag(rest: &[&String]) -> Result<Option<rfn::mc::StaticOrder>, String> {
+    flag_value(rest, "--static-order")
+        .map(|s| rfn::mc::StaticOrder::parse(s).map_err(|e| format!("bad --static-order: {e}")))
+        .transpose()
 }
 
 /// Parses `--engine` into the session's lane selection.
@@ -429,10 +452,8 @@ fn verify(loaded: &LoadedDesign, rest: &[&String]) -> Result<ExitCode, String> {
     // session runs the portfolio in parallel and reports in command-line
     // order, with the event streams merged deterministically.
     let (sim_batches, sim_seed) = sim_flags(rest)?;
-    let (cluster_limit, frontier_simplify, bdd_threads) = image_flags(rest)?;
-    let mut rfn_opts = RfnOptions::default()
-        .with_frontier_simplify(frontier_simplify)
-        .with_bdd_threads(bdd_threads);
+    let (cluster_limit, frontier_simplify) = image_flags(rest)?;
+    let mut rfn_opts = RfnOptions::default().with_frontier_simplify(frontier_simplify);
     if let Some(batches) = sim_batches {
         rfn_opts = rfn_opts.with_sim_batches(batches);
     }
@@ -442,12 +463,8 @@ fn verify(loaded: &LoadedDesign, rest: &[&String]) -> Result<ExitCode, String> {
     if let Some(limit) = cluster_limit {
         rfn_opts = rfn_opts.with_cluster_limit(limit);
     }
-    let (static_order, dvo) = order_flags(rest)?;
-    if let Some(order) = static_order {
+    if let Some(order) = static_order_flag(rest)? {
         rfn_opts = rfn_opts.with_static_order(order);
-    }
-    if let Some(policy) = dvo {
-        rfn_opts = rfn_opts.with_dvo(policy);
     }
     if let Some(dir) = flag_value(rest, "--order-cache-dir") {
         rfn_opts = rfn_opts.with_order_cache_dir(dir);
@@ -534,10 +551,8 @@ fn coverage(n: &Netlist, rest: &[&String]) -> Result<ExitCode, String> {
     let set = CoverageSet::new("cli", sigs?);
     let obs = observers(rest)?;
     let (sim_batches, sim_seed) = sim_flags(rest)?;
-    let (cluster_limit, frontier_simplify, bdd_threads) = image_flags(rest)?;
-    let mut cov_opts = CoverageOptions::default()
-        .with_frontier_simplify(frontier_simplify)
-        .with_bdd_threads(bdd_threads);
+    let (cluster_limit, frontier_simplify) = image_flags(rest)?;
+    let mut cov_opts = CoverageOptions::default().with_frontier_simplify(frontier_simplify);
     if let Some(batches) = sim_batches {
         cov_opts.concretize_sim.batches = batches;
     }
@@ -547,12 +562,9 @@ fn coverage(n: &Netlist, rest: &[&String]) -> Result<ExitCode, String> {
     if let Some(limit) = cluster_limit {
         cov_opts = cov_opts.with_cluster_limit(limit);
     }
-    let (static_order, dvo) = order_flags(rest)?;
+    let static_order = static_order_flag(rest)?;
     if let Some(order) = static_order {
         cov_opts.reach.static_order = order;
-    }
-    if let Some(policy) = dvo {
-        cov_opts.reach.dvo = policy;
     }
     let mut session = VerifySession::new(n)
         .coverage_options(cov_opts)
@@ -577,17 +589,12 @@ fn coverage(n: &Netlist, rest: &[&String]) -> Result<ExitCode, String> {
     );
     if let Some(k) = flag_value(rest, "--bfs") {
         let k: usize = k.parse().map_err(|_| format!("bad --bfs `{k}`"))?;
-        let mut bfs_reach = ReachOptions::default()
-            .with_frontier_simplify(frontier_simplify)
-            .with_bdd_threads(bdd_threads);
+        let mut bfs_reach = ReachOptions::default().with_frontier_simplify(frontier_simplify);
         if let Some(limit) = cluster_limit {
             bfs_reach = bfs_reach.with_cluster_limit(limit);
         }
         if let Some(order) = static_order {
             bfs_reach = bfs_reach.with_static_order(order);
-        }
-        if let Some(policy) = dvo {
-            bfs_reach.dvo = policy;
         }
         let bfs = bfs_coverage(n, &set, k, 4_000_000, &bfs_reach).map_err(|e| e.to_string())?;
         println!(

@@ -118,6 +118,29 @@ fn bad_usage_exits_two() {
         .output()
         .expect("runs");
     assert_eq!(out.status.code(), Some(2));
+    // Unknown flags, typos and flags of another subcommand are usage
+    // errors, never silently dropped settings.
+    let path = write_netlist("bad_usage", RING);
+    for (cmd, args, culprit) in [
+        ("verify", "--watch w --bogus-flag 7", "--bogus-flag"),
+        ("verify", "--watch w --time-limt 5", "--time-limt"),
+        ("verify", "--watch w extra", "extra"),
+        ("verify", "--watch w --time-limit", "--time-limit"),
+        ("coverage", "--signals tok0 --threads 2", "--threads"),
+        ("info", "--watch w", "--watch"),
+    ] {
+        let out = rfn()
+            .arg(cmd)
+            .arg(&path)
+            .args(args.split(' '))
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{cmd} {args}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(culprit), "{cmd} {args}: {stderr}");
+        assert!(stderr.contains("usage:"), "{cmd} {args}: {stderr}");
+    }
+    let _ = std::fs::remove_file(path);
 }
 
 #[test]
