@@ -40,13 +40,6 @@ pub struct AtpgOptions {
     /// being anchored to the reset state (used by combinational justification
     /// on abstract models).
     pub free_initial_state: bool,
-    /// Optional per-time-frame objective priority (lower value = attacked
-    /// first); frames beyond the vector's length rank last. Empty (the
-    /// default) keeps the plain chronological objective order. The RFN loop
-    /// feeds the random-simulation engine's per-cycle survivor counts here,
-    /// so the frames where random patterns fell off the guidance corridor —
-    /// the hard frames — are justified fail-first.
-    pub frame_priority: Vec<u64>,
     /// Structured-event context; every `justify` call emits one
     /// `atpg.justify` point event with its effort counters. Disabled by
     /// default (a single pointer check per call).
@@ -61,7 +54,6 @@ impl Default for AtpgOptions {
             budget: Budget::unlimited(),
             phase: GovPhase::Concretize,
             free_initial_state: false,
-            frame_priority: Vec::new(),
             trace: TraceCtx::disabled(),
         }
     }
@@ -108,13 +100,6 @@ impl AtpgOptions {
     #[must_use]
     pub fn with_free_initial_state(mut self, free: bool) -> Self {
         self.free_initial_state = free;
-        self
-    }
-
-    /// Sets the per-time-frame objective priorities.
-    #[must_use]
-    pub fn with_frame_priority(mut self, priority: Vec<u64>) -> Self {
-        self.frame_priority = priority;
         self
     }
 
@@ -464,17 +449,6 @@ impl<'a, 'n> Search<'a, 'n> {
             }
         }
         self.objective_list.sort_unstable();
-        // Fail-first frame ordering: when the caller supplies per-frame
-        // priorities, attack the lowest-priority-value (hardest) frames
-        // first; within a frame the chronological signal order is kept.
-        let priority = &self.eng.options.frame_priority;
-        if !priority.is_empty() {
-            let width = self.width;
-            self.objective_list.sort_by_key(|&(fs, _)| {
-                let frame = fs as usize / width;
-                (priority.get(frame).copied().unwrap_or(u64::MAX), fs)
-            });
-        }
         // Constants hold at every frame.
         let mut queue: Vec<u32> = Vec::new();
         for s in netlist.signals() {

@@ -2,7 +2,7 @@
 //! checkpoint/resume on the processor design.
 //!
 //! ```text
-//! cargo run -p rfn-bench --bin govbench --release [-- --quick] [--smoke]
+//! cargo run -p rfn-bench --bin govbench --release [-- --quick]
 //!           [--budget-ms <n>]
 //! ```
 //!
@@ -26,12 +26,11 @@
 //!    run that is already under way; the tests cancel before the run
 //!    starts.
 //!
-//! `--smoke` runs phase 1 against the paper-sized processor (where two
-//! seconds can never complete the proof, so exhaustion is guaranteed) but
-//! phase 2 against the quick design so CI finishes in seconds; without it,
-//! phase 2 resumes the paper-sized run itself to completion. `--quick`
-//! shrinks phase 1's design too — useful on slow machines, paired with a
-//! small `--budget-ms`. Phase 3 runs the quick design under either flag.
+//! All three phases run the paper-sized processor, whose `error_flag` run
+//! outlasts the two-second budget and the 250 ms cancel delay, so every
+//! gate fires, and whose resumed run finishes in seconds. `--quick` runs
+//! the quick design instead — useful on slow machines, paired with a small
+//! `--budget-ms`; it finishes in about 100 ms, before phase 3's cancel.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -58,13 +57,12 @@ fn quick_processor() -> Design {
 
 fn main() -> ExitCode {
     let quick = std::env::args().any(|a| a == "--quick");
-    let smoke = std::env::args().any(|a| a == "--smoke");
     let budget_ms = std::env::args()
         .skip_while(|a| a != "--budget-ms")
         .nth(1)
         .and_then(|v| v.parse().ok())
         .unwrap_or(2_000u64);
-    println!("govbench: resource governance (quick: {quick}, smoke: {smoke})");
+    println!("govbench: resource governance (quick: {quick})");
     println!();
 
     let mut failures = 0usize;
@@ -127,25 +125,19 @@ fn main() -> ExitCode {
     println!();
 
     // Phase 2: interrupt, then resume to the conclusive verdict.
-    let (p2_design, p2_budget) = if smoke && !quick {
-        (quick_processor(), Duration::from_millis(300))
-    } else {
-        (design, budget)
-    };
     let p2_dir = std::env::temp_dir().join(format!("rfn-govbench-r-{}", std::process::id()));
     std::fs::remove_dir_all(&p2_dir).ok();
-    let property = p2_design.property("error_flag").expect("property exists");
     println!(
         "phase 2: interrupt error_flag on {} at {}ms, then resume",
-        p2_design.netlist.name(),
-        p2_budget.as_millis()
+        design.netlist.name(),
+        budget.as_millis()
     );
     let interrupted = Rfn::new(
-        &p2_design.netlist,
+        &design.netlist,
         property,
         RfnOptions::default()
             .with_checkpoint_dir(&p2_dir)
-            .with_time_limit(p2_budget),
+            .with_time_limit(budget),
     )
     .expect("valid property")
     .run()
@@ -160,7 +152,7 @@ fn main() -> ExitCode {
     }
     let start = Instant::now();
     let resumed = Rfn::new(
-        &p2_design.netlist,
+        &design.netlist,
         property,
         RfnOptions::default()
             .with_budget(Budget::unlimited())
@@ -192,16 +184,10 @@ fn main() -> ExitCode {
 
     // Phase 3: a cancel from another thread must unwind a running
     // verification as promptly as a deadline does.
-    let p3_design = if quick || smoke {
-        quick_processor()
-    } else {
-        processor_module(&ProcessorParams::default())
-    };
-    let property = p3_design.property("error_flag").expect("property exists");
     let cancel_after = Duration::from_millis(250);
     println!(
         "phase 3: cancel error_flag on {}, {}ms in",
-        p3_design.netlist.name(),
+        design.netlist.name(),
         cancel_after.as_millis()
     );
     let token = CancelToken::new();
@@ -214,7 +200,7 @@ fn main() -> ExitCode {
     };
     let start = Instant::now();
     let outcome = Rfn::new(
-        &p3_design.netlist,
+        &design.netlist,
         property,
         RfnOptions::default().with_budget(Budget::unlimited().with_cancel_token(token)),
     )
@@ -240,9 +226,8 @@ fn main() -> ExitCode {
             }
         }
         _ => {
-            // The quick design can occasionally finish in under the cancel
-            // delay on a fast machine; that leaves the gate unexercised but
-            // is not a governance failure.
+            // The quick design finishes in under the cancel delay; that
+            // leaves the gate unexercised but is not a governance failure.
             println!(
                 "  note: run finished conclusively in {}ms — cancel never fired",
                 wall.as_millis()

@@ -247,6 +247,8 @@ fn random_engine_hit_rate(processor: &Design, scale: Scale, smoke: bool) -> Opti
         batches: if smoke { 4 } else { 16 },
         ..RandomSimOptions::default()
     };
+    let mut sim = PackedSim::new(netlist).expect("design validates");
+    let mut replay = None;
     for depth in threshold + 2..threshold + 10 {
         let guidance: Vec<Cube> = (0..depth)
             .map(|t| {
@@ -257,13 +259,14 @@ fn random_engine_hit_rate(processor: &Design, scale: Scale, smoke: bool) -> Opti
                 cube
             })
             .collect();
-        let (found, stats) =
-            random_concretize(netlist, &target, &guidance, &options).expect("design validates");
+        let (found, stats) = random_concretize(&mut sim, &mut replay, &target, &guidance, &options)
+            .expect("design validates");
         if found.is_some() {
             // Unguided baseline at the same depth: empty corridor cubes.
             let unguided: Vec<Cube> = (0..depth).map(|_| Cube::new()).collect();
             let (_, ustats) =
-                random_concretize(netlist, &target, &unguided, &options).expect("design validates");
+                random_concretize(&mut sim, &mut replay, &target, &unguided, &options)
+                    .expect("design validates");
             return Some(EngineResult {
                 depth,
                 guided_hits: stats.hits,

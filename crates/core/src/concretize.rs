@@ -3,34 +3,21 @@
 //! sequential ATPG second.
 
 use rfn_atpg::{AtpgOutcome, SequentialAtpg};
-use rfn_netlist::{Cube, Netlist, Property, Trace};
-use rfn_sim::{random_concretize, PackedSim, RandomSimOptions, Tv};
+use rfn_govern::Budget;
+use rfn_netlist::{Cube, Netlist, NetlistError, Property, Trace};
+use rfn_sim::{random_concretize, PackedSim, RandomSimOptions, Simulator, Tv};
+use rfn_trace::Span;
 
-use crate::RfnError;
+use crate::{Phase, RfnError};
 
 /// Options for the staged concretization of Step 3.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ConcretizeOptions {
     /// Limits for the trace-guided sequential ATPG (the expensive stage).
     pub atpg: rfn_atpg::AtpgOptions,
     /// The random-simulation engine (the cheap stage, tried first);
     /// `sim.batches = 0` disables it.
     pub sim: RandomSimOptions,
-    /// When the random stage misses, bias the ATPG's objective order
-    /// fail-first by the stage's per-cycle survivor counts (frames where
-    /// random patterns fell off the guidance corridor are attacked first).
-    /// Ignored if `atpg.frame_priority` is already set by the caller.
-    pub bias_frame_order: bool,
-}
-
-impl Default for ConcretizeOptions {
-    fn default() -> Self {
-        ConcretizeOptions {
-            atpg: rfn_atpg::AtpgOptions::default(),
-            sim: RandomSimOptions::default(),
-            bias_frame_order: true,
-        }
-    }
 }
 
 /// Effort statistics of concretization attempts; accumulable across
@@ -66,10 +53,47 @@ impl ConcretizeStats {
         self.atpg_backtracks += other.atpg_backtracks;
         self.atpg_decisions += other.atpg_decisions;
     }
+
+    /// Records one attempt on its `concretize` span: the outcome, the
+    /// winning engine of a falsification, the effort counters, and the
+    /// budget left where it is bounded (so unbudgeted runs keep a
+    /// deterministic event stream). The RFN and coverage loops both report
+    /// through here, so the breakdown and the benchmarks read the same
+    /// fields from either.
+    pub(crate) fn record(&self, span: &mut Span, outcome: &ConcretizeOutcome, budget: &Budget) {
+        span.record(
+            "outcome",
+            match outcome {
+                ConcretizeOutcome::Falsified(_) => "falsified",
+                ConcretizeOutcome::Spurious => "spurious",
+                ConcretizeOutcome::Unknown => "unknown",
+            },
+        );
+        if matches!(outcome, ConcretizeOutcome::Falsified(_)) {
+            span.record(
+                "engine",
+                if self.random_falsified {
+                    "random"
+                } else {
+                    "atpg"
+                },
+            );
+        }
+        span.record("random_patterns", self.random_patterns);
+        span.record("random_hits", self.random_hits);
+        span.record("atpg_backtracks", self.atpg_backtracks);
+        span.record("atpg_decisions", self.atpg_decisions);
+        if let Some(remaining) = budget.remaining() {
+            span.record("budget.remaining_ms", remaining.as_millis() as u64);
+        }
+        if let Some(backtracks) = budget.backtracks_remaining() {
+            span.record("budget.backtracks_remaining", backtracks);
+        }
+    }
 }
 
 /// Result of a concretization attempt.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConcretizeOutcome {
     /// A real error trace was found and validated by concrete simulation.
     Falsified(Trace),
@@ -81,142 +105,159 @@ pub enum ConcretizeOutcome {
     Unknown,
 }
 
-/// Tries to turn an abstract error trace into a real error trace of the
-/// original design (the paper's Step 3).
+/// The engines of Step 3 for one iteration: the packed simulator the
+/// random stage and witness validation run on, the scalar simulator a
+/// random hit is replayed on, and the sequential ATPG over the whole
+/// design.
 ///
-/// The abstract trace provides both the search depth (the real shortest
-/// error trace can only be longer) and per-cycle constraint cubes that guide
-/// the engines — including the trace's pseudo-input assignments, which
-/// become register constraints on the original design.
+/// None of them depends on the abstraction or the attempt, so one engine
+/// serves every attempt of an iteration: the RFN loop's abstract traces
+/// and every frontier state of a coverage iteration. Each is built at its
+/// first use, so an iteration whose random stage always wins never builds
+/// the ATPG. Every attempt resets the simulators and starts a fresh ATPG
+/// search, so a reused engine returns the same outcomes, traces and
+/// statistics as a fresh engine per attempt.
 ///
-/// Engines run cheap to expensive: guided random simulation
-/// ([`rfn_sim::random_concretize`]) first; if it misses, trace-guided
-/// sequential ATPG with its objective order biased by the random stage's
-/// per-cycle survivor counts.
-///
-/// Every `Falsified` trace has been replayed with concrete simulation before
-/// being returned, so falsification is sound even though the search is
-/// heuristic.
-///
-/// # Errors
-///
-/// Propagates structural netlist errors.
-pub fn concretize(
-    netlist: &Netlist,
-    property: &Property,
-    abstract_trace: &Trace,
-    options: &ConcretizeOptions,
-) -> Result<ConcretizeOutcome, RfnError> {
-    concretize_with_stats(netlist, property, abstract_trace, options).map(|(o, _)| o)
+/// The RFN loop builds it after dropping the iteration's symbolic model,
+/// and both loops drop it with the iteration, so its whole-design tables
+/// are never alive beside a later iteration's BDDs.
+pub struct Concretizer<'n> {
+    netlist: &'n Netlist,
+    options: ConcretizeOptions,
+    packed: Option<PackedSim<'n>>,
+    replay: Option<Simulator<'n>>,
+    atpg: Option<SequentialAtpg<'n>>,
 }
 
-/// Like [`concretize`], additionally returning the per-engine effort
-/// statistics of the attempt.
-///
-/// # Errors
-///
-/// Propagates structural netlist errors.
-pub fn concretize_with_stats(
-    netlist: &Netlist,
-    property: &Property,
-    abstract_trace: &Trace,
-    options: &ConcretizeOptions,
-) -> Result<(ConcretizeOutcome, ConcretizeStats), RfnError> {
-    let target: Cube = [(property.signal, property.value)].into_iter().collect();
-    concretize_cube_with_stats(netlist, &target, abstract_trace, options)
-}
-
-/// Like [`concretize`], but with an arbitrary target cube checked at the
-/// final cycle (the coverage-analysis mode targets coverage-state cubes).
-///
-/// # Errors
-///
-/// Propagates structural netlist errors.
-pub fn concretize_cube(
-    netlist: &Netlist,
-    target: &Cube,
-    abstract_trace: &Trace,
-    options: &ConcretizeOptions,
-) -> Result<ConcretizeOutcome, RfnError> {
-    concretize_cube_with_stats(netlist, target, abstract_trace, options).map(|(o, _)| o)
-}
-
-/// Like [`concretize_cube`], additionally returning the per-engine effort
-/// statistics of the attempt.
-///
-/// # Errors
-///
-/// Propagates structural netlist errors.
-pub fn concretize_cube_with_stats(
-    netlist: &Netlist,
-    target: &Cube,
-    abstract_trace: &Trace,
-    options: &ConcretizeOptions,
-) -> Result<(ConcretizeOutcome, ConcretizeStats), RfnError> {
-    let mut stats = ConcretizeStats::default();
-    if abstract_trace.is_empty() {
-        return Ok((ConcretizeOutcome::Unknown, stats));
-    }
-    let depth = abstract_trace.num_cycles();
-    // Guidance: each abstract step's state and input cubes merged. All
-    // abstract-model signals are signals of the original design (pseudo-input
-    // literals become register constraints).
-    let mut guidance: Vec<Cube> = Vec::with_capacity(depth);
-    for step in abstract_trace.steps() {
-        let mut cube = step.state.clone();
-        if cube.merge(&step.inputs).is_err() {
-            // State and input cubes of a well-formed trace are disjoint; a
-            // conflict means the trace is internally inconsistent.
-            return Ok((ConcretizeOutcome::Spurious, stats));
-        }
-        guidance.push(cube);
-    }
-
-    // Stage 1: guided random simulation — a few thousand packed patterns
-    // along the corridor cost a fraction of one ATPG search.
-    let mut survivors = Vec::new();
-    if options.sim.batches > 0 {
-        let (found, rstats) = random_concretize(netlist, target, &guidance, &options.sim)
-            .map_err(|e| RfnError::at(crate::Phase::Concretize, e))?;
-        stats.random_batches = rstats.batches;
-        stats.random_patterns = rstats.patterns;
-        stats.random_hits = rstats.hits;
-        stats.random_gate_evals = rstats.gate_evals;
-        survivors = rstats.survivors;
-        if let Some(trace) = found {
-            // The hitting lane was already replayed (and thereby validated)
-            // on the scalar reference simulator during trace reconstruction.
-            stats.random_falsified = true;
-            return Ok((ConcretizeOutcome::Falsified(trace), stats));
+impl<'n> Concretizer<'n> {
+    /// An engine over `netlist` that builds nothing until its first
+    /// attempt.
+    pub fn new(netlist: &'n Netlist, options: ConcretizeOptions) -> Self {
+        Concretizer {
+            netlist,
+            options,
+            packed: None,
+            replay: None,
+            atpg: None,
         }
     }
 
-    // Stage 2: trace-guided sequential ATPG, attacking the frames with the
-    // fewest random survivors — the hard frames — first.
-    let mut atpg_options = options.atpg.clone();
-    if options.bias_frame_order && atpg_options.frame_priority.is_empty() {
-        atpg_options.frame_priority = survivors;
-    }
-    let atpg = SequentialAtpg::new(netlist, atpg_options)
-        .map_err(|e| RfnError::at(crate::Phase::Concretize, e))?;
-    let (outcome, astats) = atpg.find_trace_with_stats(depth, target, &guidance);
-    stats.atpg_backtracks = astats.backtracks;
-    stats.atpg_decisions = astats.decisions;
-    let outcome = match outcome {
-        AtpgOutcome::Satisfiable(trace) => {
-            if validate_trace_cube(netlist, target, &trace)? {
-                ConcretizeOutcome::Falsified(trace)
-            } else {
-                // An invalid witness indicates an engine bug; refuse to
-                // report a false falsification.
-                debug_assert!(false, "ATPG witness failed concrete validation");
-                ConcretizeOutcome::Unknown
+    /// Tries to turn an abstract error trace into a real error trace of
+    /// the original design that ends in `target` (the paper's Step 3; the
+    /// RFN loop targets the property literal, the coverage analysis a
+    /// coverage-state cube).
+    ///
+    /// The abstract trace provides both the search depth (the real
+    /// shortest error trace can only be longer) and per-cycle constraint
+    /// cubes that guide the engines — including the trace's pseudo-input
+    /// assignments, which become register constraints on the original
+    /// design.
+    ///
+    /// Engines run cheap to expensive: guided random simulation
+    /// ([`rfn_sim::random_concretize`]) first; if it misses, trace-guided
+    /// sequential ATPG.
+    ///
+    /// Every `Falsified` trace has been replayed with concrete simulation
+    /// before being returned, so falsification is sound even though the
+    /// search is heuristic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Phase::Concretize`]-stamped structural netlist errors.
+    pub fn concretize(
+        &mut self,
+        target: &Cube,
+        abstract_trace: &Trace,
+    ) -> Result<(ConcretizeOutcome, ConcretizeStats), RfnError> {
+        let mut stats = ConcretizeStats::default();
+        if abstract_trace.is_empty() {
+            return Ok((ConcretizeOutcome::Unknown, stats));
+        }
+        let depth = abstract_trace.num_cycles();
+        // Guidance: each abstract step's state and input cubes merged. All
+        // abstract-model signals are signals of the original design
+        // (pseudo-input literals become register constraints).
+        let mut guidance: Vec<Cube> = Vec::with_capacity(depth);
+        for step in abstract_trace.steps() {
+            let mut cube = step.state.clone();
+            if cube.merge(&step.inputs).is_err() {
+                // State and input cubes of a well-formed trace are
+                // disjoint; a conflict means the trace is internally
+                // inconsistent.
+                return Ok((ConcretizeOutcome::Spurious, stats));
+            }
+            guidance.push(cube);
+        }
+        let netlist = self.netlist;
+
+        // Stage 1: guided random simulation — a few thousand packed
+        // patterns along the corridor cost a fraction of one ATPG search.
+        if self.options.sim.batches > 0 {
+            let sim = first_use(&mut self.packed, || PackedSim::new(netlist))?;
+            let (found, rstats) =
+                random_concretize(sim, &mut self.replay, target, &guidance, &self.options.sim)
+                    .map_err(|e| RfnError::at(Phase::Concretize, e))?;
+            stats.random_batches = rstats.batches;
+            stats.random_patterns = rstats.patterns;
+            stats.random_hits = rstats.hits;
+            stats.random_gate_evals = rstats.gate_evals;
+            if let Some(trace) = found {
+                // The hitting lane was already replayed (and thereby
+                // validated) on the scalar simulator during trace
+                // reconstruction.
+                stats.random_falsified = true;
+                return Ok((ConcretizeOutcome::Falsified(trace), stats));
             }
         }
-        AtpgOutcome::Unsatisfiable => ConcretizeOutcome::Spurious,
-        AtpgOutcome::Aborted => ConcretizeOutcome::Unknown,
-    };
-    Ok((outcome, stats))
+
+        // Stage 2: trace-guided sequential ATPG.
+        let atpg = first_use(&mut self.atpg, || {
+            SequentialAtpg::new(netlist, self.options.atpg.clone())
+        })?;
+        let (outcome, astats) = atpg.find_trace_with_stats(depth, target, &guidance);
+        stats.atpg_backtracks = astats.backtracks;
+        stats.atpg_decisions = astats.decisions;
+        let outcome = match outcome {
+            AtpgOutcome::Satisfiable(trace) => {
+                let sim = first_use(&mut self.packed, || PackedSim::new(netlist))?;
+                if replays_into(sim, target, &trace) {
+                    ConcretizeOutcome::Falsified(trace)
+                } else {
+                    // An invalid witness indicates an engine bug; refuse to
+                    // report a false falsification.
+                    debug_assert!(false, "ATPG witness failed concrete validation");
+                    ConcretizeOutcome::Unknown
+                }
+            }
+            AtpgOutcome::Unsatisfiable => ConcretizeOutcome::Spurious,
+            AtpgOutcome::Aborted => ConcretizeOutcome::Unknown,
+        };
+        Ok((outcome, stats))
+    }
+
+    /// The scalar simulator random hits are replayed on, built at its first
+    /// use; the coverage analysis replays its concrete traces on it too.
+    pub(crate) fn replay_simulator(&mut self) -> Result<&mut Simulator<'n>, RfnError> {
+        let netlist = self.netlist;
+        first_use(&mut self.replay, || Simulator::new(netlist))
+    }
+}
+
+/// The engine in `slot`, built by `build` at its first use.
+fn first_use<T>(
+    slot: &mut Option<T>,
+    build: impl FnOnce() -> Result<T, NetlistError>,
+) -> Result<&mut T, RfnError> {
+    match slot {
+        Some(engine) => Ok(engine),
+        empty => Ok(empty.insert(build().map_err(|e| RfnError::at(Phase::Concretize, e))?)),
+    }
+}
+
+/// The cube a falsification of `property` must reach: its signal at its
+/// failing value.
+pub(crate) fn property_cube(property: &Property) -> Cube {
+    [(property.signal, property.value)].into_iter().collect()
 }
 
 /// Validates an error-trace cube by concrete simulation: unassigned inputs
@@ -239,8 +280,7 @@ pub fn validate_trace(
     property: &Property,
     trace: &Trace,
 ) -> Result<bool, RfnError> {
-    let target: Cube = [(property.signal, property.value)].into_iter().collect();
-    validate_trace_cube(netlist, &target, trace)
+    validate_trace_cube(netlist, &property_cube(property), trace)
 }
 
 /// Like [`validate_trace`] for an arbitrary target cube: every literal of
@@ -258,9 +298,19 @@ pub fn validate_trace_cube(
     if trace.is_empty() {
         return Ok(false);
     }
-    let mut sim = PackedSim::new(netlist).map_err(|e| RfnError::at(crate::Phase::Concretize, e))?;
+    let mut sim = PackedSim::new(netlist).map_err(|e| RfnError::at(Phase::Concretize, e))?;
+    Ok(replays_into(&mut sim, target, trace))
+}
+
+/// [`validate_trace_cube`] on the caller's packed simulator, which it
+/// resets first.
+fn replays_into(sim: &mut PackedSim<'_>, target: &Cube, trace: &Trace) -> bool {
+    let netlist = sim.netlist();
+    let Some(first) = trace.steps().first() else {
+        return false;
+    };
     sim.reset();
-    for (r, v) in replay_resets(netlist, &trace.steps()[0].state).iter() {
+    for (r, v) in replay_resets(netlist, &first.state).iter() {
         sim.set_all(r, Tv::from(v));
     }
     for (i, step) in trace.steps().iter().enumerate() {
@@ -269,7 +319,7 @@ pub fn validate_trace_cube(
         for &pi in netlist.inputs() {
             let v = step.inputs.get(pi).unwrap_or(false);
             if inputs.insert(pi, v).is_err() {
-                return Ok(false);
+                return false;
             }
         }
         if i + 1 < trace.num_cycles() {
@@ -279,9 +329,9 @@ pub fn validate_trace_cube(
             sim.step_comb();
         }
     }
-    Ok(target
+    target
         .iter()
-        .all(|(s, v)| sim.lane(s, 0).to_bool() == Some(v)))
+        .all(|(s, v)| sim.lane(s, 0).to_bool() == Some(v))
 }
 
 /// The cycle-0 value a concrete replay gives every register whose reset is
@@ -340,11 +390,38 @@ mod tests {
         t
     }
 
+    /// Abstract trace claiming the watchdog fires at cycle 1 already:
+    /// impossible, since arm resets to 0, so fire=0 in cycle 0.
+    fn infeasible_trace(go: SignalId, arm: SignalId, w: SignalId) -> Trace {
+        let mut t = Trace::new();
+        t.push(TraceStep {
+            state: [(w, false)].into_iter().collect(),
+            inputs: [(go, true), (arm, true)].into_iter().collect(),
+        });
+        t.push(TraceStep {
+            state: [(w, true)].into_iter().collect(),
+            inputs: Cube::new(),
+        });
+        t
+    }
+
+    /// One attempt on a fresh engine.
+    fn attempt(
+        n: &Netlist,
+        target: &Cube,
+        t: &Trace,
+        options: &ConcretizeOptions,
+    ) -> (ConcretizeOutcome, ConcretizeStats) {
+        Concretizer::new(n, options.clone())
+            .concretize(target, t)
+            .unwrap()
+    }
+
     #[test]
     fn guided_search_finds_real_trace() {
         let (n, p, [go, _, arm, w]) = design();
         let t = abstract_trace(go, arm, w);
-        match concretize(&n, &p, &t, &ConcretizeOptions::default()).unwrap() {
+        match attempt(&n, &property_cube(&p), &t, &ConcretizeOptions::default()).0 {
             ConcretizeOutcome::Falsified(trace) => {
                 assert_eq!(trace.num_cycles(), 3);
                 assert!(validate_trace(&n, &p, &trace).unwrap());
@@ -361,7 +438,7 @@ mod tests {
         let (n, p, [go, _, arm, w]) = design();
         let t = abstract_trace(go, arm, w);
         let options = ConcretizeOptions::default();
-        let (outcome, stats) = concretize_with_stats(&n, &p, &t, &options).unwrap();
+        let (outcome, stats) = attempt(&n, &property_cube(&p), &t, &options);
         assert!(matches!(outcome, ConcretizeOutcome::Falsified(_)));
         assert!(stats.random_falsified, "random stage should win here");
         assert_eq!(stats.atpg_backtracks, 0);
@@ -377,7 +454,7 @@ mod tests {
         let t = abstract_trace(go, arm, w);
         let mut options = ConcretizeOptions::default();
         options.sim.batches = 0;
-        let (outcome, stats) = concretize_with_stats(&n, &p, &t, &options).unwrap();
+        let (outcome, stats) = attempt(&n, &property_cube(&p), &t, &options);
         assert!(matches!(outcome, ConcretizeOutcome::Falsified(_)));
         assert!(!stats.random_falsified);
         assert_eq!(stats.random_patterns, 0);
@@ -386,31 +463,88 @@ mod tests {
     #[test]
     fn infeasible_guidance_is_spurious() {
         let (n, p, [go, _, arm, w]) = design();
-        // Claim the watchdog fires at cycle 1 already (impossible: arm resets
-        // to 0, so fire=0 in cycle 0).
-        let mut t = Trace::new();
-        t.push(TraceStep {
-            state: [(w, false)].into_iter().collect(),
-            inputs: [(go, true), (arm, true)].into_iter().collect(),
-        });
-        t.push(TraceStep {
-            state: [(w, true)].into_iter().collect(),
-            inputs: Cube::new(),
-        });
-        let _ = arm;
-        match concretize(&n, &p, &t, &ConcretizeOptions::default()).unwrap() {
-            ConcretizeOutcome::Spurious => {}
-            other => panic!("expected spurious, got {other:?}"),
-        }
+        let t = infeasible_trace(go, arm, w);
+        let (outcome, stats) = attempt(&n, &property_cube(&p), &t, &ConcretizeOptions::default());
+        assert_eq!(outcome, ConcretizeOutcome::Spurious);
+        // The corridor collapses at cycle 0 (arm resets low), so the
+        // random stage gives up after one batch.
+        assert_eq!(stats.random_batches, 1);
     }
 
     #[test]
     fn empty_trace_is_unknown() {
         let (n, p, _) = design();
-        assert!(matches!(
-            concretize(&n, &p, &Trace::new(), &ConcretizeOptions::default()).unwrap(),
-            ConcretizeOutcome::Unknown
-        ));
+        let (outcome, stats) = attempt(
+            &n,
+            &property_cube(&p),
+            &Trace::new(),
+            &ConcretizeOptions::default(),
+        );
+        assert_eq!(outcome, ConcretizeOutcome::Unknown);
+        assert_eq!(stats, ConcretizeStats::default());
+    }
+
+    /// One engine serving a run of attempts answers each exactly as a
+    /// fresh engine would: a random hit, a miss whose corridor collapses
+    /// before the ATPG finds the trace, and a spurious trace, in an order
+    /// that builds the packed simulator, the replay simulator and the ATPG
+    /// at different attempts.
+    #[test]
+    fn one_engine_per_iteration_matches_a_fresh_engine_per_attempt() {
+        // The watchdog plus a second one behind a 16-input key: a corridor
+        // that needs `key` high at cycle 1 needs all 16 key inputs high at
+        // cycle 0, which no lane of a 64-pattern batch draws.
+        let (mut n, p, [go, _, arm, w]) = design();
+        let keys: Vec<SignalId> = (0..16).map(|k| n.add_input(&format!("k{k}"))).collect();
+        let all = n.add_gate("all", GateOp::And, &keys);
+        let key = n.add_register("key", Some(false));
+        n.set_register_next(key, all).unwrap();
+        let open = n.add_gate("open", GateOp::And, &[go, key]);
+        let v = n.add_register("v", Some(false));
+        let vor = n.add_gate("vor", GateOp::Or, &[v, open]);
+        n.set_register_next(v, vor).unwrap();
+        n.validate().unwrap();
+        let watchdog = property_cube(&p);
+        let vault: Cube = [(v, true)].into_iter().collect();
+
+        let attempts = [
+            (&vault, infeasible_trace(go, key, v)),
+            (&watchdog, abstract_trace(go, arm, w)),
+            (&vault, abstract_trace(go, key, v)),
+            (&watchdog, infeasible_trace(go, arm, w)),
+            (&watchdog, abstract_trace(go, arm, w)),
+            (&vault, abstract_trace(go, key, v)),
+        ];
+        let options = ConcretizeOptions::default();
+        let mut shared = Concretizer::new(&n, options.clone());
+        let mut outcomes = Vec::new();
+        for (target, t) in &attempts {
+            let reused = shared.concretize(target, t).unwrap();
+            assert_eq!(reused, attempt(&n, target, t, &options));
+            outcomes.push(reused);
+        }
+        // The spurious traces: both corridors collapse at cycle 0.
+        for k in [0, 3] {
+            assert_eq!(outcomes[k].0, ConcretizeOutcome::Spurious);
+            assert_eq!(outcomes[k].1.random_batches, 1);
+        }
+        // The random hits.
+        for k in [1, 4] {
+            assert!(matches!(outcomes[k].0, ConcretizeOutcome::Falsified(_)));
+            assert!(outcomes[k].1.random_falsified);
+        }
+        // The key corridor collapses in the first batch; the ATPG finds
+        // the trace.
+        for k in [2, 5] {
+            let (outcome, stats) = &outcomes[k];
+            let ConcretizeOutcome::Falsified(trace) = outcome else {
+                panic!("expected falsification, got {outcome:?}");
+            };
+            assert!(validate_trace_cube(&n, &vault, trace).unwrap());
+            assert!(!stats.random_falsified);
+            assert_eq!(stats.random_batches, 1);
+            assert!(stats.atpg_decisions > 0);
+        }
     }
 
     #[test]

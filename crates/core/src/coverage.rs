@@ -29,7 +29,7 @@ use rfn_trace::TraceCtx;
 
 use crate::concretize::replay_resets;
 use crate::{
-    concretize_cube, refine_with_roots, ConcretizeOptions, ConcretizeOutcome, HybridEngine, Phase,
+    refine_with_roots, ConcretizeOptions, ConcretizeOutcome, Concretizer, HybridEngine, Phase,
     RefineOptions, RfnError,
 };
 
@@ -237,6 +237,14 @@ fn analyze_coverage_inner(
     let mut reach_opts = options.reach.clone();
     reach_opts.common.trace = ctx.clone();
     reach_opts.common.budget = budget.clone();
+    let mut concretize_opts = ConcretizeOptions {
+        atpg: options.concretize_atpg.clone(),
+        sim: options.concretize_sim.clone(),
+    };
+    concretize_opts.atpg.trace = ctx.clone();
+    concretize_opts.sim.trace = ctx.clone();
+    concretize_opts.atpg.budget = budget.clone();
+    concretize_opts.sim.budget = budget.clone();
     'outer: for _ in 0..options.max_iterations {
         iterations += 1;
         let _it_span = ctx.span_with(
@@ -249,20 +257,21 @@ fn analyze_coverage_inner(
         if budget.check().is_err() {
             break;
         }
-        let view = abstraction.view(netlist, set.signals.iter().copied())?;
-        let mut mgr = rfn_bdd::BddManager::new();
-        mgr.set_node_limit(options.mc_node_limit);
-        mgr.set_budget(budget.clone());
-        let model_opts = rfn_mc::ModelOptions {
-            cluster_limit: options.reach.cluster_limit,
-            static_order: options.reach.static_order,
+        let (view, built) = {
+            let _model_span = ctx.span("model");
+            let view = abstraction.view(netlist, set.signals.iter().copied())?;
+            let mut mgr = rfn_bdd::BddManager::new();
+            mgr.set_node_limit(options.mc_node_limit);
+            mgr.set_budget(budget.clone());
+            let model_opts = rfn_mc::ModelOptions {
+                cluster_limit: options.reach.cluster_limit,
+                static_order: options.reach.static_order,
+            };
+            let built =
+                SymbolicModel::with_options(netlist, ModelSpec::from_view(&view), mgr, model_opts);
+            (view, built)
         };
-        let mut model = match SymbolicModel::with_options(
-            netlist,
-            ModelSpec::from_view(&view),
-            mgr,
-            model_opts,
-        ) {
+        let mut model = match built {
             Ok(m) => m,
             Err(rfn_mc::McError::Bdd(_)) => break,
             Err(e) => return Err(e.into()),
@@ -318,8 +327,10 @@ fn analyze_coverage_inner(
         hybrid_atpg.budget = budget.clone();
         hybrid_atpg.phase = GovPhase::Hybrid;
         // Built at the first frontier state that needs a trace, then shared
-        // by the rest (see `HybridEngine` for why reuse is exact).
+        // by the rest (see `HybridEngine` and `Concretizer` for why reuse
+        // is exact).
         let mut engine: Option<HybridEngine<'_>> = None;
+        let mut concretizer = Concretizer::new(netlist, concretize_opts.clone());
         for &bits in &frontier_unknown {
             if classes[bits as usize] != Class::Unknown {
                 continue; // an earlier replay covered it
@@ -362,19 +373,15 @@ fn analyze_coverage_inner(
                 // The abstraction is the whole COI: abstract traces are real.
                 Some(abstract_trace.clone())
             } else {
-                let mut conc_opts = ConcretizeOptions {
-                    atpg: options.concretize_atpg.clone(),
-                    sim: options.concretize_sim.clone(),
-                    ..ConcretizeOptions::default()
-                };
-                conc_opts.atpg.trace = ctx.clone();
-                conc_opts.sim.trace = ctx.clone();
-                conc_opts.atpg.budget = budget.clone();
-                conc_opts.sim.budget = budget.clone();
-                let _cspan = ctx.span("concretize");
-                match concretize_cube(netlist, &target_cube, &abstract_trace, &conc_opts)? {
+                let mut cspan = ctx.span_with(
+                    "concretize",
+                    vec![("depth".to_owned(), abstract_trace.num_cycles().into())],
+                );
+                let (outcome, cstats) = concretizer.concretize(&target_cube, &abstract_trace)?;
+                cstats.record(&mut cspan, &outcome, budget);
+                match outcome {
                     ConcretizeOutcome::Falsified(t) => Some(t),
-                    _ => None,
+                    ConcretizeOutcome::Spurious | ConcretizeOutcome::Unknown => None,
                 }
             };
             match concrete {
@@ -382,7 +389,8 @@ fn analyze_coverage_inner(
                     // The trace was validated against `target_cube` (or the
                     // abstraction is exact), so `bits` is reachable — as is
                     // every coverage state the concrete replay visits.
-                    for visited in replay_coverage_states(netlist, set, &trace) {
+                    let sim = concretizer.replay_simulator()?;
+                    for visited in replay_coverage_states(sim, set, &trace) {
                         if classes[visited as usize] == Class::Unknown {
                             classes[visited as usize] = Class::Reachable;
                         }
@@ -418,6 +426,7 @@ fn analyze_coverage_inner(
                 }
             }
         }
+        drop(concretizer);
         drop(engine);
         drop(model);
         if stuck {
@@ -601,12 +610,10 @@ fn closest_registers(netlist: &Netlist, seeds: &[SignalId], k: usize) -> Vec<Sig
     picked
 }
 
-/// Replays a trace concretely (unassigned inputs and unknown resets low) and
-/// collects the coverage states visited at every cycle.
-fn replay_coverage_states(netlist: &Netlist, set: &CoverageSet, trace: &Trace) -> Vec<u64> {
-    let Ok(mut sim) = Simulator::new(netlist) else {
-        return Vec::new();
-    };
+/// Replays a trace concretely on `sim` (unassigned inputs and unknown
+/// resets low) and collects the coverage states visited at every cycle.
+fn replay_coverage_states(sim: &mut Simulator<'_>, set: &CoverageSet, trace: &Trace) -> Vec<u64> {
+    let netlist = sim.netlist();
     sim.reset();
     for (r, v) in replay_resets(netlist, &trace.steps()[0].state).iter() {
         sim.set(r, rfn_sim::Tv::from(v));
@@ -623,7 +630,7 @@ fn replay_coverage_states(netlist: &Netlist, set: &CoverageSet, trace: &Trace) -
         }
         out.push(bits);
     };
-    record(&sim);
+    record(sim);
     for step in trace.steps() {
         let mut inputs = Cube::new();
         for &pi in netlist.inputs() {
@@ -631,7 +638,7 @@ fn replay_coverage_states(netlist: &Netlist, set: &CoverageSet, trace: &Trace) -
             let _ = inputs.insert(pi, v);
         }
         sim.step(&inputs);
-        record(&sim);
+        record(sim);
     }
     out
 }
@@ -678,11 +685,16 @@ mod tests {
     /// state 10 also becomes unreachable, but only an abstraction containing
     /// the (distant) gate register can see that.
     fn gated_rotator() -> (Netlist, CoverageSet, SignalId) {
+        gated_rotator_from(Some(false))
+    }
+
+    /// The gated rotator with the gate source `g0` reset to `g0_init`.
+    fn gated_rotator_from(g0_init: Option<bool>) -> (Netlist, CoverageSet, SignalId) {
         let mut n = Netlist::new("grot");
         let a = n.add_register("a", Some(false));
         let b = n.add_register("b", Some(false));
-        // gate chain: g0 sticks at 0; g1 <- g0 (distance 2 from a).
-        let g0 = n.add_register("g0", Some(false));
+        // gate chain: g0 sticks at its reset; g1 <- g0 (distance 2 from a).
+        let g0 = n.add_register("g0", g0_init);
         n.set_register_next(g0, g0).unwrap();
         let g1 = n.add_register("g1", Some(false));
         n.set_register_next(g1, g0).unwrap();
@@ -704,6 +716,51 @@ mod tests {
         assert_eq!(rep.unreachable, 2, "10 and 11 are unreachable");
         assert_eq!(rep.reachable, 2);
         assert!(rep.abstract_registers >= 3, "refinement must add {g1:?}");
+    }
+
+    /// Coverage `concretize` exits carry the RFN loop's fields in the RFN
+    /// loop's order, and every iteration times its set-up in a `model`
+    /// span. The gated rotator's abstract traces are spurious; with an
+    /// unknown reset on the gate's source they are real.
+    #[test]
+    fn coverage_spans_carry_the_rfn_fields() {
+        use rfn_trace::{EventKind, MemorySink, Value};
+        let mut outcomes = Vec::new();
+        for g0_init in [Some(false), None] {
+            let (n, set, _) = gated_rotator_from(g0_init);
+            let sink = std::sync::Arc::new(MemorySink::new());
+            let mut options = CoverageOptions::default();
+            options.common.trace = TraceCtx::new(sink.clone());
+            analyze_coverage(&n, &set, &options).unwrap();
+            let events = sink.take();
+            let exits = |span: &'static str| {
+                events.iter().filter_map(move |e| match &e.kind {
+                    EventKind::Exit { name, fields, .. } if name == span => Some(fields),
+                    _ => None,
+                })
+            };
+            assert_eq!(exits("model").count(), exits("iteration").count());
+            for fields in exits("concretize") {
+                let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+                let Some((_, Value::Str(outcome))) = fields.first() else {
+                    panic!("concretize exit without an outcome: {fields:?}");
+                };
+                let mut want = vec!["outcome"];
+                if outcome == "falsified" {
+                    want.push("engine");
+                }
+                want.extend([
+                    "random_patterns",
+                    "random_hits",
+                    "atpg_backtracks",
+                    "atpg_decisions",
+                ]);
+                assert_eq!(keys, want);
+                outcomes.push(outcome.clone());
+            }
+        }
+        assert!(outcomes.iter().any(|o| o == "falsified"), "{outcomes:?}");
+        assert!(outcomes.iter().any(|o| o == "spurious"), "{outcomes:?}");
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!    no-cut cubes.
 //! 3. **Concretize** — a staged cheap-to-expensive search of the original
 //!    design, guided by the abstract trace (depth bound + per-cycle
-//!    constraint cubes, [`concretize`]): bit-parallel guided random
-//!    simulation first ([`rfn_sim::random_concretize`]), then sequential
-//!    ATPG with its time-frame decision order biased by the random stage's
-//!    per-cycle survivor counts.
+//!    constraint cubes, [`Concretizer`]): bit-parallel guided random
+//!    simulation first ([`rfn_sim::random_concretize`]), stopping at the
+//!    first batch whose lanes all leave the trace's corridor, then
+//!    sequential ATPG.
 //! 4. **Refine** — two-phase crucial-register identification: 3-valued
 //!    simulation conflicts, then greedy ATPG minimization ([`refine`]).
 //!
@@ -76,8 +76,8 @@ pub use bmc::{
 };
 pub use checkpoint::{LoopCheckpoint, CHECKPOINT_SCHEMA};
 pub use concretize::{
-    concretize, concretize_cube, concretize_cube_with_stats, concretize_with_stats, validate_trace,
-    validate_trace_cube, ConcretizeOptions, ConcretizeOutcome, ConcretizeStats,
+    validate_trace, validate_trace_cube, ConcretizeOptions, ConcretizeOutcome, ConcretizeStats,
+    Concretizer,
 };
 pub use coverage::{analyze_coverage, bfs_coverage, CoverageOptions, CoverageReport};
 pub use engine::{

@@ -7,17 +7,18 @@ use std::time::{Duration, Instant};
 use rfn_atpg::AtpgOptions;
 use rfn_govern::{Budget, GovPhase};
 use rfn_mc::{
-    forward_reach, CommonOptions, ModelSpec, ReachOptions, ReachVerdict, SymbolicModel, VarKind,
+    forward_reach, AbortReason, CommonOptions, ModelSpec, ReachOptions, ReachVerdict,
+    SymbolicModel, VarKind,
 };
 use rfn_netlist::{Abstraction, Coi, Netlist, Property, SignalId, Trace};
 use rfn_trace::{Span, StderrSink, TraceCtx};
 
 use rfn_sim::RandomSimOptions;
 
-use crate::concretize::replay_resets;
+use crate::concretize::{property_cube, replay_resets};
 use crate::{
-    concretize_with_stats, refine, ConcretizeOptions, ConcretizeOutcome, ConcretizeStats,
-    HybridEngine, HybridStats, LoopCheckpoint, Phase, RefineOptions, RfnError,
+    refine, ConcretizeOptions, ConcretizeOutcome, ConcretizeStats, Concretizer, HybridEngine,
+    HybridStats, LoopCheckpoint, Phase, RefineOptions, RfnError,
 };
 
 /// Configuration of the RFN loop.
@@ -209,8 +210,9 @@ impl RfnOptions {
         self
     }
 
-    /// Sets how many 64-pattern batches the random-simulation concretization
-    /// engine tries per abstract trace (0 disables the engine).
+    /// Caps how many 64-pattern batches the random-simulation concretization
+    /// engine tries per abstract trace (0 disables the engine); see
+    /// [`RandomSimOptions::batches`] for when an attempt stops earlier.
     #[must_use]
     pub fn with_sim_batches(mut self, batches: usize) -> Self {
         self.concretize_sim.batches = batches;
@@ -480,6 +482,16 @@ impl<'n> Rfn<'n> {
         let mut reach_opts = self.options.reach.clone();
         reach_opts.common.trace = ctx.clone();
         reach_opts.common.budget = budget.clone();
+        let mut concretize_opts = ConcretizeOptions {
+            atpg: self.options.concretize_atpg.clone(),
+            sim: self.options.concretize_sim.clone(),
+        };
+        concretize_opts.atpg.trace = ctx.clone();
+        concretize_opts.sim.trace = ctx.clone();
+        concretize_opts.atpg.budget = budget.clone();
+        concretize_opts.sim.budget = budget.clone();
+        concretize_opts.sim.seed = sim_seed;
+        let target = property_cube(&self.property);
         for iteration in start_iteration..self.options.max_iterations {
             stats.iterations = iteration + 1;
             stats.abstract_registers = abstraction.len();
@@ -493,36 +505,49 @@ impl<'n> Rfn<'n> {
             if let Err(e) = budget.check() {
                 return Ok(self.inconclusive(ctx, e.as_str(), stats, start));
             }
-            let view = abstraction.view(self.netlist, [self.property.signal])?;
-            let exact = view.pseudo_inputs().is_empty();
-
-            // Step 2: prove or find an abstract error trace. The shared
-            // budget governs the manager from model construction on.
-            let mut mgr = rfn_bdd::BddManager::new();
-            mgr.set_node_limit(self.options.mc_node_limit);
-            mgr.set_budget(budget.clone());
-            let model_opts = rfn_mc::ModelOptions {
-                cluster_limit: self.options.reach.cluster_limit,
-                static_order: self.options.reach.static_order,
+            // Step 1: the abstract model, in the previous iteration's
+            // variable order. The shared budget governs the manager from
+            // model construction on.
+            let (view, built) = {
+                let _model_span = ctx.span("model");
+                let view = abstraction.view(self.netlist, [self.property.signal])?;
+                let mut mgr = rfn_bdd::BddManager::new();
+                mgr.set_node_limit(self.options.mc_node_limit);
+                mgr.set_budget(budget.clone());
+                let model_opts = rfn_mc::ModelOptions {
+                    cluster_limit: self.options.reach.cluster_limit,
+                    static_order: self.options.reach.static_order,
+                };
+                let built = SymbolicModel::with_options(
+                    self.netlist,
+                    ModelSpec::from_view(&view),
+                    mgr,
+                    model_opts,
+                )
+                .map(|mut model| {
+                    self.restore_order(&mut model, &saved_order);
+                    model
+                });
+                (view, built)
             };
-            let mut model = match SymbolicModel::with_options(
-                self.netlist,
-                ModelSpec::from_view(&view),
-                mgr,
-                model_opts,
-            ) {
+            let exact = view.pseudo_inputs().is_empty();
+            let mut model = match built {
                 Ok(m) => m,
-                Err(rfn_mc::McError::Bdd(_)) => {
+                Err(rfn_mc::McError::Bdd(e)) => {
                     return Ok(self.inconclusive(
                         ctx,
-                        "BDD node limit while building the abstract model",
+                        &format!(
+                            "BDD {} while building the abstract model",
+                            AbortReason::of(&e)
+                        ),
                         stats,
                         start,
                     ))
                 }
                 Err(e) => return Err(e.into()),
             };
-            self.restore_order(&mut model, &saved_order);
+
+            // Step 2: prove or find an abstract error trace.
             let targets = {
                 let sig = model.signal_bdd(self.property.signal)?;
                 if self.property.value {
@@ -530,10 +555,10 @@ impl<'n> Rfn<'n> {
                 } else {
                     match model.manager().not(sig) {
                         Ok(b) => b,
-                        Err(_) => {
+                        Err(e) => {
                             return Ok(self.inconclusive(
                                 ctx,
-                                "BDD node limit on target construction",
+                                &format!("BDD {} on target construction", AbortReason::of(&e)),
                                 stats,
                                 start,
                             ))
@@ -601,7 +626,10 @@ impl<'n> Rfn<'n> {
                     }) => {
                         return Ok(self.inconclusive(
                             ctx,
-                            &format!("hybrid trace reconstruction out of budget ({e})"),
+                            &format!(
+                                "hybrid trace reconstruction out of budget ({})",
+                                AbortReason::of(&e)
+                            ),
                             stats,
                             start,
                         ))
@@ -651,60 +679,18 @@ impl<'n> Rfn<'n> {
 
             // Step 3: guided search on the original design, one corridor per
             // abstract trace (the future-work multi-trace extension when
-            // `max_abstract_traces > 1`).
-            let mut conc_opts = ConcretizeOptions {
-                atpg: self.options.concretize_atpg.clone(),
-                sim: self.options.concretize_sim.clone(),
-                ..ConcretizeOptions::default()
-            };
-            conc_opts.atpg.trace = ctx.clone();
-            conc_opts.sim.trace = ctx.clone();
-            conc_opts.atpg.budget = budget.clone();
-            conc_opts.sim.budget = budget.clone();
-            conc_opts.sim.seed = sim_seed;
+            // `max_abstract_traces > 1`), every corridor sharing the
+            // iteration's engines.
+            let mut concretizer = Concretizer::new(self.netlist, concretize_opts.clone());
             for abstract_trace in &traces {
                 let found = {
                     let mut cspan = ctx.span_with(
                         "concretize",
                         vec![("depth".to_owned(), abstract_trace.num_cycles().into())],
                     );
-                    let (outcome, cstats) = concretize_with_stats(
-                        self.netlist,
-                        &self.property,
-                        abstract_trace,
-                        &conc_opts,
-                    )?;
+                    let (outcome, cstats) = concretizer.concretize(&target, abstract_trace)?;
                     stats.concretize.merge(&cstats);
-                    cspan.record(
-                        "outcome",
-                        match &outcome {
-                            ConcretizeOutcome::Falsified(_) => "falsified",
-                            ConcretizeOutcome::Spurious => "spurious",
-                            ConcretizeOutcome::Unknown => "unknown",
-                        },
-                    );
-                    if matches!(outcome, ConcretizeOutcome::Falsified(_)) {
-                        cspan.record(
-                            "engine",
-                            if cstats.random_falsified {
-                                "random"
-                            } else {
-                                "atpg"
-                            },
-                        );
-                    }
-                    cspan.record("random_patterns", cstats.random_patterns);
-                    cspan.record("random_hits", cstats.random_hits);
-                    cspan.record("atpg_backtracks", cstats.atpg_backtracks);
-                    cspan.record("atpg_decisions", cstats.atpg_decisions);
-                    // Budget telemetry only when the dimension is bounded,
-                    // so unbudgeted runs keep a deterministic event stream.
-                    if let Some(remaining) = budget.remaining() {
-                        cspan.record("budget.remaining_ms", remaining.as_millis() as u64);
-                    }
-                    if let Some(backtracks) = budget.backtracks_remaining() {
-                        cspan.record("budget.backtracks_remaining", backtracks);
-                    }
+                    cstats.record(&mut cspan, &outcome, budget);
                     match outcome {
                         ConcretizeOutcome::Falsified(t) => Some(t),
                         ConcretizeOutcome::Spurious | ConcretizeOutcome::Unknown => None,
@@ -721,6 +707,7 @@ impl<'n> Rfn<'n> {
                     return Ok(self.falsified(ctx, &saved_order, trace, stats, start));
                 }
             }
+            drop(concretizer);
 
             // Step 4: refine against the first (fattest-seed) trace.
             let mut refine_opts = self.options.refine.clone();

@@ -165,7 +165,7 @@ fn events_reconstruct_rfn_stats_exactly() {
     // covers the whole span hierarchy.
     let table = TimeBreakdown::from_events(&events);
     let names: Vec<&str> = table.rows().iter().map(|r| r.name.as_str()).collect();
-    for phase in ["rfn", "iteration", "reach"] {
+    for phase in ["rfn", "iteration", "model", "reach"] {
         assert!(names.contains(&phase), "breakdown misses phase {phase}");
     }
 }

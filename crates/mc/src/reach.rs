@@ -199,7 +199,9 @@ pub enum AbortReason {
 }
 
 impl AbortReason {
-    pub(crate) fn of(e: &BddError) -> AbortReason {
+    /// Maps a kernel error onto the abort vocabulary, so callers that stop
+    /// on a failed BDD operation name the budget that ran out.
+    pub fn of(e: &BddError) -> AbortReason {
         match e {
             BddError::NodeLimit => AbortReason::NodeLimit,
             BddError::Cancelled => AbortReason::Cancelled,

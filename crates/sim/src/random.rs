@@ -5,10 +5,9 @@
 //! per-cycle cubes as *constraints* on the packed simulator and fill every
 //! unconstrained input with 64-wide deterministic random vectors. Any lane
 //! that lands in the target cube at the final cycle is a concrete
-//! counterexample, recovered for a fraction of the ATPG cost; the per-cycle
-//! *survivor counts* of missing batches report where random patterns fall
-//! off the guidance corridor, which the ATPG uses to bias its decision
-//! ordering toward the hardest time frames.
+//! counterexample, recovered for a fraction of the ATPG cost. A batch
+//! whose lanes all fall off the guidance corridor ends the attempt, so a
+//! spurious trace costs one batch before the ATPG takes over.
 
 use rfn_govern::Budget;
 use rfn_netlist::{Cube, Netlist, NetlistError, SignalId, Trace, TraceStep};
@@ -54,8 +53,9 @@ impl XorShift64 {
 /// Options for [`random_concretize`].
 #[derive(Clone, Debug)]
 pub struct RandomSimOptions {
-    /// Number of 64-pattern batches to simulate per attempt (0 disables the
-    /// engine entirely).
+    /// Most 64-pattern batches one attempt simulates (0 disables the engine
+    /// entirely). An attempt stops earlier on a hit, or after the first
+    /// missing batch whose corridor collapsed (see [`random_concretize`]).
     pub batches: usize,
     /// Seed for the deterministic pattern generator.
     pub seed: u64,
@@ -78,7 +78,7 @@ impl Default for RandomSimOptions {
 }
 
 impl RandomSimOptions {
-    /// Sets the batch count.
+    /// Sets the batch cap.
     #[must_use]
     pub fn with_batches(mut self, batches: usize) -> Self {
         self.batches = batches;
@@ -108,23 +108,21 @@ impl RandomSimOptions {
 }
 
 /// Statistics of one [`random_concretize`] attempt.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RandomSimStats {
-    /// Batches actually simulated (stops early on a hit).
+    /// Batches actually simulated (stops early on a hit or a collapsed
+    /// corridor).
     pub batches: u64,
     /// Patterns simulated (64 per batch).
     pub patterns: u64,
     /// Lanes that satisfied the target cube at the final cycle.
     pub hits: u64,
-    /// Per trace cycle: lanes still consistent with the guidance cube at
-    /// that cycle, summed over all batches. A steep drop marks the time
-    /// frame where random patterns fall off the corridor — the hard frame.
-    pub survivors: Vec<u64>,
     /// Packed gate evaluations spent (each covers 64 lanes).
     pub gate_evals: u64,
 }
 
-/// Tries to concretize an abstract error trace by guided random simulation.
+/// Tries to concretize an abstract error trace by guided random simulation
+/// on the caller's simulators.
 ///
 /// `guidance` holds one cube per trace cycle (the abstract step's state and
 /// input cubes merged). Primary-input literals are driven exactly;
@@ -132,28 +130,41 @@ pub struct RandomSimStats {
 /// concrete value is a legal reset); everything else unconstrained is filled
 /// with fresh random words each batch. A lane whose final-cycle values
 /// satisfy every literal of `target` is a concrete counterexample: the lane
-/// is replayed on the scalar [`Simulator`] to rebuild (and independently
-/// validate) the full [`Trace`].
+/// is replayed on the scalar `replay` simulator to rebuild (and
+/// independently validate) the full [`Trace`]. `replay` is built over
+/// `sim`'s netlist at the first hit if the caller has none yet, and left in
+/// place for the caller's next attempt.
 ///
 /// Lanes are *not* required to stay inside the guidance corridor — any
 /// pattern that reaches the target is a genuine counterexample. The
-/// guidance only biases the search; per-cycle corridor survival is reported
-/// in [`RandomSimStats::survivors`].
+/// corridor decides when to give up instead: a missing batch in which no
+/// lane kept to the guidance's register literals at some cycle ends the
+/// attempt, because further batches draw from the same distribution and
+/// the sequential ATPG, which reasons about the corridor, is the better
+/// next step. Only a miss that kept some lane on the corridor to the last
+/// cycle tries the next batch, up to `options.batches`.
+///
+/// Both simulators are reset before use, so an attempt's result does not
+/// depend on earlier attempts on the same simulators.
 ///
 /// Emits one `sim.random` span (fields: `batches`, `patterns`, `hits`,
 /// `gate_evals`, `outcome`) into `options.trace`.
 ///
 /// # Errors
 ///
-/// Returns the underlying validation error if the netlist is malformed.
-pub fn random_concretize(
-    netlist: &Netlist,
+/// Returns the underlying validation error if the scalar simulator cannot
+/// be built over the netlist.
+pub fn random_concretize<'n>(
+    sim: &mut PackedSim<'n>,
+    replay: &mut Option<Simulator<'n>>,
     target: &Cube,
     guidance: &[Cube],
     options: &RandomSimOptions,
 ) -> Result<(Option<Trace>, RandomSimStats), NetlistError> {
     let mut span = options.trace.span("sim.random");
-    let (result, stats) = random_concretize_inner(netlist, target, guidance, options)?;
+    let evals_before = sim.counters().gate_evals;
+    let (result, mut stats) = random_concretize_inner(sim, replay, target, guidance, options)?;
+    stats.gate_evals = sim.counters().gate_evals - evals_before;
     if options.trace.is_enabled() {
         span.record("batches", stats.batches);
         span.record("patterns", stats.patterns);
@@ -164,8 +175,9 @@ pub fn random_concretize(
     Ok((result, stats))
 }
 
-fn random_concretize_inner(
-    netlist: &Netlist,
+fn random_concretize_inner<'n>(
+    sim: &mut PackedSim<'n>,
+    replay: &mut Option<Simulator<'n>>,
     target: &Cube,
     guidance: &[Cube],
     options: &RandomSimOptions,
@@ -175,8 +187,7 @@ fn random_concretize_inner(
     if depth == 0 || options.batches == 0 || target.is_empty() {
         return Ok((None, stats));
     }
-    stats.survivors = vec![0u64; depth];
-    let mut sim = PackedSim::new(netlist)?;
+    let netlist = sim.netlist();
     let mut rng = XorShift64::new(options.seed);
 
     // Registers whose reset value is a free choice and unconstrained by the
@@ -213,17 +224,16 @@ fn random_concretize_inner(
             sim.set(r, PackedTv::from_bits(w));
             init_words.push((r, w));
         }
+        // Lanes whose register values have contradicted no guidance literal
+        // so far: the corridor.
         let mut alive = !0u64;
         let mut input_words: Vec<Vec<u64>> = Vec::with_capacity(depth);
         for (t, cube) in guidance.iter().enumerate() {
-            // Corridor survival: lanes whose register values are consistent
-            // with this cycle's guidance literals.
             for (s, v) in cube.iter() {
                 if netlist.is_register(s) {
                     alive &= sim.value(s).mask_of(v) | !sim.value(s).known_mask();
                 }
             }
-            stats.survivors[t] += u64::from(alive.count_ones());
             // Drive every primary input: pinned by guidance or random.
             let mut words = Vec::new();
             for &pi in netlist.inputs() {
@@ -249,8 +259,15 @@ fn random_concretize_inner(
         if hit != 0 {
             stats.hits += u64::from(hit.count_ones());
             let lane = hit.trailing_zeros() as usize;
-            let trace = rebuild_trace(netlist, target, guidance, &init_words, &input_words, lane)?;
-            stats.gate_evals = sim.counters().gate_evals;
+            let trace = rebuild_trace(
+                netlist,
+                replay,
+                target,
+                guidance,
+                &init_words,
+                &input_words,
+                lane,
+            )?;
             if trace.is_some() {
                 return Ok((trace, stats));
             }
@@ -258,8 +275,11 @@ fn random_concretize_inner(
             // sound and treat the batch as a miss.
             debug_assert!(false, "packed hit failed scalar replay");
         }
+        if alive == 0 {
+            // The corridor collapsed: stop drawing patterns.
+            break;
+        }
     }
-    stats.gate_evals = sim.counters().gate_evals;
     Ok((None, stats))
 }
 
@@ -267,8 +287,9 @@ fn random_concretize_inner(
 /// concrete trace (register state plus all input values per cycle). The
 /// scalar replay doubles as an independent validation of the packed hit:
 /// returns `None` if the target does not hold at the final cycle.
-fn rebuild_trace(
-    netlist: &Netlist,
+fn rebuild_trace<'n>(
+    netlist: &'n Netlist,
+    replay: &mut Option<Simulator<'n>>,
     target: &Cube,
     guidance: &[Cube],
     init_words: &[(SignalId, u64)],
@@ -277,7 +298,10 @@ fn rebuild_trace(
 ) -> Result<Option<Trace>, NetlistError> {
     let bit = |w: u64| (w >> lane) & 1 == 1;
     let depth = guidance.len();
-    let mut sim = Simulator::new(netlist)?;
+    let sim = match replay {
+        Some(sim) => sim,
+        empty => empty.insert(Simulator::new(netlist)?),
+    };
     sim.reset();
     for (r, v) in guidance[0].iter() {
         if netlist.is_register(r) && netlist.register_init(r).is_none() {
@@ -341,6 +365,17 @@ mod tests {
         (n, [go, a, arm, w])
     }
 
+    /// One attempt on fresh simulators.
+    fn attempt(
+        n: &Netlist,
+        target: &Cube,
+        guidance: &[Cube],
+        opts: &RandomSimOptions,
+    ) -> (Option<Trace>, RandomSimStats) {
+        let mut sim = PackedSim::new(n).unwrap();
+        random_concretize(&mut sim, &mut None, target, guidance, opts).unwrap()
+    }
+
     #[test]
     fn pinned_corridor_hits_immediately() {
         let (n, [go, _, arm, w]) = watchdog();
@@ -352,7 +387,7 @@ mod tests {
         ];
         let target: Cube = [(w, true)].into_iter().collect();
         let opts = RandomSimOptions::default();
-        let (trace, stats) = random_concretize(&n, &target, &guidance, &opts).unwrap();
+        let (trace, stats) = attempt(&n, &target, &guidance, &opts);
         let trace = trace.expect("pinned corridor must concretize");
         assert_eq!(trace.num_cycles(), 3);
         assert_eq!(stats.batches, 1, "first batch should hit");
@@ -370,41 +405,42 @@ mod tests {
         let guidance: Vec<Cube> = vec![Cube::new(), Cube::new(), Cube::new()];
         let target: Cube = [(w, true)].into_iter().collect();
         let opts = RandomSimOptions::default();
-        let (trace, stats) = random_concretize(&n, &target, &guidance, &opts).unwrap();
+        let (trace, stats) = attempt(&n, &target, &guidance, &opts);
         assert!(trace.is_some(), "64-wide random should hit w=1 in depth 3");
         assert!(stats.hits > 0);
     }
 
+    /// A miss whose corridor never collapses tries every batch up to the
+    /// cap: with no register literals in the guidance, every lane stays on
+    /// the corridor.
     #[test]
-    fn impossible_target_misses_with_full_stats() {
-        let (n, [go, _, arm, w]) = watchdog();
+    fn open_corridor_miss_runs_every_batch() {
+        let (n, [go, _, _, w]) = watchdog();
         // go pinned low: `fire` can never pulse, so w stays 0.
         let guidance: Vec<Cube> = vec![
             [(go, false)].into_iter().collect(),
             [(go, false)].into_iter().collect(),
         ];
-        let _ = arm;
         let target: Cube = [(w, true)].into_iter().collect();
         let opts = RandomSimOptions {
             batches: 4,
             ..RandomSimOptions::default()
         };
-        let (trace, stats) = random_concretize(&n, &target, &guidance, &opts).unwrap();
+        let (trace, stats) = attempt(&n, &target, &guidance, &opts);
         assert!(trace.is_none());
         assert_eq!(stats.batches, 4);
         assert_eq!(stats.patterns, 4 * 64);
         assert_eq!(stats.hits, 0);
-        assert_eq!(stats.survivors.len(), 2);
-        // No register guidance: every lane survives every cycle.
-        assert_eq!(stats.survivors[0], 4 * 64);
+        assert!(stats.gate_evals > 0);
     }
 
+    /// A miss whose corridor collapses stops after one batch, however high
+    /// the cap.
     #[test]
-    fn survivor_counts_drop_at_conflicting_cycle() {
-        let (n, [_, _, arm, w]) = watchdog();
+    fn collapsed_corridor_miss_stops_after_one_batch() {
+        let (n, [_, a, arm, w]) = watchdog();
         // Guidance claims arm=1 at cycle 1, but `a` is pinned low, so no
-        // lane can keep arm high: survivors collapse at cycle 1.
-        let a = n.find("a").unwrap();
+        // lane can keep arm high: the corridor collapses at cycle 1.
         let guidance: Vec<Cube> = vec![
             [(a, false)].into_iter().collect(),
             [(arm, true), (a, false)].into_iter().collect(),
@@ -412,13 +448,48 @@ mod tests {
         ];
         let target: Cube = [(w, true)].into_iter().collect();
         let opts = RandomSimOptions {
-            batches: 2,
+            batches: 4,
             ..RandomSimOptions::default()
         };
-        let (trace, stats) = random_concretize(&n, &target, &guidance, &opts).unwrap();
+        let (trace, stats) = attempt(&n, &target, &guidance, &opts);
         assert!(trace.is_none());
-        assert_eq!(stats.survivors[0], 2 * 64);
-        assert_eq!(stats.survivors[1], 0, "arm=1 is unreachable under a=0");
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.patterns, 64);
+        assert_eq!(stats.hits, 0);
+    }
+
+    /// Simulators shared across attempts give each attempt the result and
+    /// the counters of fresh ones: a miss, a hit that builds the scalar
+    /// replay simulator, and a hit that reuses it.
+    #[test]
+    fn reused_simulators_match_fresh_ones() {
+        let (n, [go, a, arm, w]) = watchdog();
+        let target: Cube = [(w, true)].into_iter().collect();
+        let collapsed: Vec<Cube> = vec![
+            [(a, false)].into_iter().collect(),
+            [(arm, true), (a, false)].into_iter().collect(),
+            [(w, true)].into_iter().collect(),
+        ];
+        let pinned: Vec<Cube> = vec![
+            [(w, false)].into_iter().collect(),
+            [(w, false), (go, true), (arm, true)].into_iter().collect(),
+            [(w, true)].into_iter().collect(),
+        ];
+        let free: Vec<Cube> = vec![Cube::new(), Cube::new(), Cube::new()];
+        let opts = RandomSimOptions::default();
+        let mut sim = PackedSim::new(&n).unwrap();
+        let mut replay = None;
+        for guidance in [&collapsed, &pinned, &free] {
+            let reused =
+                random_concretize(&mut sim, &mut replay, &target, guidance, &opts).unwrap();
+            let fresh = attempt(&n, &target, guidance, &opts);
+            assert_eq!(reused.1, fresh.1);
+            assert_eq!(
+                reused.0.map(|t| format!("{t:?}")),
+                fresh.0.map(|t| format!("{t:?}"))
+            );
+        }
+        assert!(replay.is_some(), "the first hit built the replay simulator");
     }
 
     #[test]
@@ -432,11 +503,11 @@ mod tests {
         let target: Cube = [(r, true)].into_iter().collect();
         let guidance: Vec<Cube> = vec![[(r, true)].into_iter().collect()];
         let opts = RandomSimOptions::default();
-        let (trace, _) = random_concretize(&n, &target, &guidance, &opts).unwrap();
+        let (trace, _) = attempt(&n, &target, &guidance, &opts);
         let trace = trace.expect("pinned unknown reset must hit");
         assert_eq!(trace.steps()[0].state.get(r), Some(true));
         // Unpinned: random reset words still find r=1 quickly.
-        let (trace, _) = random_concretize(&n, &target, &[Cube::new()], &opts).unwrap();
+        let (trace, _) = attempt(&n, &target, &[Cube::new()], &opts);
         assert!(trace.is_some());
     }
 
@@ -449,25 +520,14 @@ mod tests {
             seed: 42,
             ..RandomSimOptions::default()
         };
-        let (t1, s1) = random_concretize(&n, &target, &guidance, &opts).unwrap();
-        let (t2, s2) = random_concretize(&n, &target, &guidance, &opts).unwrap();
+        let (t1, s1) = attempt(&n, &target, &guidance, &opts);
+        let (t2, s2) = attempt(&n, &target, &guidance, &opts);
         assert_eq!(s1, s2);
         assert_eq!(
             t1.map(|t| format!("{t:?}")),
             t2.map(|t| format!("{t:?}")),
             "same seed must produce the identical trace"
         );
-        let (t3, _) = random_concretize(
-            &n,
-            &target,
-            &guidance,
-            &RandomSimOptions {
-                seed: 43,
-                ..RandomSimOptions::default()
-            },
-        )
-        .unwrap();
-        let _ = t3; // different seed may differ; only determinism is asserted
     }
 
     #[test]
@@ -475,7 +535,7 @@ mod tests {
         let (n, [_, _, _, w]) = watchdog();
         let target: Cube = [(w, true)].into_iter().collect();
         let opts = RandomSimOptions::default();
-        let (t, s) = random_concretize(&n, &target, &[], &opts).unwrap();
+        let (t, s) = attempt(&n, &target, &[], &opts);
         assert!(t.is_none());
         assert_eq!(s.patterns, 0);
         let zero = RandomSimOptions {
@@ -483,7 +543,7 @@ mod tests {
             ..RandomSimOptions::default()
         };
         let guidance: Vec<Cube> = vec![Cube::new()];
-        let (t, s) = random_concretize(&n, &target, &guidance, &zero).unwrap();
+        let (t, s) = attempt(&n, &target, &guidance, &zero);
         assert!(t.is_none());
         assert_eq!(s.patterns, 0);
     }

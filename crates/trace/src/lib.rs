@@ -27,6 +27,7 @@
 //! ```text
 //! rfn                      one property verification job
 //! └─ iteration             one abstraction-refinement round
+//!    ├─ model              abstract view and BDD model set-up (Step 1)
 //!    ├─ reach              BDD forward fixpoint (Step 2)
 //!    ├─ hybrid             hybrid BDD–ATPG trace reconstruction (Step 2)
 //!    ├─ concretize         staged search on the original design (Step 3)

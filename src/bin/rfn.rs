@@ -51,11 +51,13 @@
 //! from it; the cache is keyed by a structural hash of the netlist, so a
 //! changed design never silently reuses a stale order.
 //!
-//! `--sim-batches` sets how many 64-pattern batches the random-simulation
+//! `--sim-batches` caps how many 64-pattern batches the random-simulation
 //! concretization engine tries before falling back to sequential ATPG (0
-//! disables the engine); `--sim-seed` makes its pseudo-random patterns
-//! reproducible (results are deterministic per seed regardless of
-//! `--threads`).
+//! disables the engine); an attempt stops after the first missing batch
+//! whose patterns all fell off the abstract trace's corridor, so the cap
+//! binds only while some pattern keeps to it. `--sim-seed` makes its
+//! pseudo-random patterns reproducible (results are deterministic per seed
+//! regardless of `--threads`).
 //!
 //! `--watch` may be repeated: the properties form a portfolio verified in
 //! parallel (one BDD manager per property, `--threads` workers) with results
@@ -134,7 +136,9 @@ DIMACS, builtin, fuzz) verify without --watch; --watch replaces them.
 bmc (SAT bounded model checking), or race (all three; first conclusive
 lane wins and cancels the rest).
 `--sim-batches`/`--sim-seed` configure the random-simulation concretization
-engine (64 patterns per batch; 0 batches disables it).
+engine (64 patterns per batch; --sim-batches is a cap, default 64: a miss
+whose patterns all left the abstract trace's corridor stops early; 0
+disables the engine).
 `--cluster-limit` bounds the clustered transition partitions of image
 computation (0 = one partition per register); `--no-frontier-simplify`
 turns off don't-care frontier minimization.
