@@ -34,7 +34,7 @@ use rfn_govern::{Budget, Exhaustion, GovPhase};
 use rfn_mc::CommonOptions;
 use rfn_netlist::{Coi, Netlist, Property, SignalId, Trace, TraceStep};
 use rfn_sat::{Lit, SolveResult, Solver, SolverStats, Term, Unroller};
-use rfn_trace::TraceCtx;
+use rfn_trace::{Span, TraceCtx};
 
 use crate::{validate_trace, Phase, RfnError};
 
@@ -182,25 +182,31 @@ pub fn verify_bmc(
     );
     let result = verify_bmc_inner(netlist, property, options);
     if let Ok(report) = &result {
-        let (verdict, depth) = match &report.verdict {
-            BmcVerdict::Falsified { depth } => ("falsified", Some(*depth)),
-            BmcVerdict::BoundedSafe { depth } => ("bounded_safe", Some(*depth)),
-            BmcVerdict::OutOfBudget { depth, reason } => {
-                span.record("abort_reason", reason.as_str());
-                ("out_of_budget", *depth)
-            }
-        };
-        span.record("verdict", verdict);
-        if let Some(depth) = depth {
-            span.record("depth", depth);
-        }
-        span.record("coi_registers", report.stats.coi_registers);
-        span.record("abstract_registers", report.stats.abstract_registers);
-        span.record("refinements", report.stats.refinements);
-        span.record("conflicts", report.stats.solver.conflicts);
-        span.record("propagations", report.stats.solver.propagations);
+        record_report(&mut span, report);
     }
     result
+}
+
+/// Records a report's verdict and statistics on its `bmc` span exit.
+fn record_report(span: &mut Span, report: &BmcReport) {
+    let (verdict, depth) = match &report.verdict {
+        BmcVerdict::Falsified { depth } => ("falsified", Some(*depth)),
+        BmcVerdict::BoundedSafe { depth } => ("bounded_safe", Some(*depth)),
+        BmcVerdict::OutOfBudget { depth, reason } => {
+            span.record("abort_reason", reason.as_str());
+            ("out_of_budget", *depth)
+        }
+    };
+    span.record("verdict", verdict);
+    if let Some(depth) = depth {
+        span.record("depth", depth);
+    }
+    span.record("coi_registers", report.stats.coi_registers);
+    span.record("abstract_registers", report.stats.abstract_registers);
+    span.record("refinements", report.stats.refinements);
+    for (key, value) in solver_fields(report.stats.solver) {
+        span.record(key, value);
+    }
 }
 
 fn verify_bmc_inner(
@@ -444,7 +450,9 @@ pub fn verify_bmc_group(
         if let Some(r) = reports.first() {
             span.record("abstract_registers", r.stats.abstract_registers);
             span.record("refinements", r.stats.refinements);
-            span.record("conflicts", r.stats.solver.conflicts);
+            for (key, value) in solver_fields(r.stats.solver) {
+                span.record(key, value);
+            }
         }
         // Per-property spans carry the same fields as a dedicated
         // `verify_bmc` run, so downstream consumers keep one span per
@@ -454,23 +462,7 @@ pub fn verify_bmc_group(
                 .common
                 .trace
                 .span_with("bmc", vec![("property".to_owned(), p.name.as_str().into())]);
-            let (verdict, depth) = match &report.verdict {
-                BmcVerdict::Falsified { depth } => ("falsified", Some(*depth)),
-                BmcVerdict::BoundedSafe { depth } => ("bounded_safe", Some(*depth)),
-                BmcVerdict::OutOfBudget { depth, reason } => {
-                    ps.record("abort_reason", reason.as_str());
-                    ("out_of_budget", *depth)
-                }
-            };
-            ps.record("verdict", verdict);
-            if let Some(depth) = depth {
-                ps.record("depth", depth);
-            }
-            ps.record("coi_registers", report.stats.coi_registers);
-            ps.record("abstract_registers", report.stats.abstract_registers);
-            ps.record("refinements", report.stats.refinements);
-            ps.record("conflicts", report.stats.solver.conflicts);
-            ps.record("propagations", report.stats.solver.propagations);
+            record_report(&mut ps, report);
         }
     }
     result
@@ -691,20 +683,28 @@ fn out_of_budget_rest(
     }
 }
 
+/// The solver's five cumulative counters, in the order that `bmc` and
+/// `bmc_group` exits and `bmc.frame` points carry them.
+fn solver_fields(s: SolverStats) -> [(&'static str, u64); 5] {
+    [
+        ("conflicts", s.conflicts),
+        ("propagations", s.propagations),
+        ("decisions", s.decisions),
+        ("learned", s.learned),
+        ("restarts", s.restarts),
+    ]
+}
+
 fn emit_frame_point(ctx: &TraceCtx, k: usize, solver: &Solver, num_active: usize) {
     if !ctx.is_enabled() {
         return;
     }
-    let s = solver.stats();
-    ctx.point(
-        "bmc.frame",
-        vec![
-            ("depth".to_owned(), k.into()),
-            ("conflicts".to_owned(), s.conflicts.into()),
-            ("propagations".to_owned(), s.propagations.into()),
-            ("abstract_registers".to_owned(), num_active.into()),
-        ],
-    );
+    let mut fields = vec![("depth".to_owned(), k.into())];
+    fields.extend(solver_fields(solver.stats()).map(|(key, value)| (key.to_owned(), value.into())));
+    // `abstract_registers` keeps its place after the first two counters;
+    // the later three were added after it.
+    fields.insert(3, ("abstract_registers".to_owned(), num_active.into()));
+    ctx.point("bmc.frame", fields);
 }
 
 /// Reads a counterexample out of the solver model: one step per frame,
@@ -926,6 +926,92 @@ mod tests {
             .map(|p| verify_bmc(&n, p, &opts).unwrap().stats.vars)
             .sum();
         assert!(shared_vars < solo_vars);
+    }
+
+    /// Every `bmc.frame` point and every `bmc` and `bmc_group` exit
+    /// carries all five solver counters after its older fields, and the
+    /// exits carry the reports' values.
+    #[test]
+    fn trace_events_carry_every_solver_counter() {
+        use rfn_trace::{EventKind, MemorySink, Value};
+        const COUNTERS: [&str; 5] = [
+            "conflicts",
+            "propagations",
+            "decisions",
+            "learned",
+            "restarts",
+        ];
+        let sink = std::sync::Arc::new(MemorySink::new());
+        let opts = BmcOptions::default()
+            .with_max_depth(8)
+            .with_trace(TraceCtx::new(sink.clone()));
+        let (n, p) = counter3(5);
+        let single = verify_bmc(&n, &p, &opts).unwrap();
+        let (gn, properties) = counter3_multi(&[2, 6]);
+        let group = verify_bmc_group(&gn, &properties, "g0", &opts).unwrap();
+
+        let frame_keys = ["depth", "conflicts", "propagations", "abstract_registers"];
+        let frame_keys = [&frame_keys[..], &COUNTERS[2..]].concat();
+        let exit_keys = [
+            "verdict",
+            "depth",
+            "coi_registers",
+            "abstract_registers",
+            "refinements",
+        ];
+        let exit_keys = [&exit_keys[..], &COUNTERS].concat();
+        let group_keys = ["falsified", "abstract_registers", "refinements"];
+        let group_keys = [&group_keys[..], &COUNTERS].concat();
+        let counters = |fields: &[(String, Value)]| -> Vec<u64> {
+            fields[fields.len() - COUNTERS.len()..]
+                .iter()
+                .map(|(_, v)| match v {
+                    Value::U64(x) => *x,
+                    other => panic!("counter is not a u64: {other:?}"),
+                })
+                .collect()
+        };
+        let (mut frames, mut bmc_exits, mut group_exits) = (0, Vec::new(), Vec::new());
+        for e in sink.take() {
+            let (EventKind::Point { name, fields, .. } | EventKind::Exit { name, fields, .. }) =
+                &e.kind
+            else {
+                continue;
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            match name.as_str() {
+                "bmc.frame" => {
+                    assert_eq!(keys, frame_keys);
+                    frames += 1;
+                }
+                "bmc" => {
+                    assert_eq!(keys, exit_keys);
+                    bmc_exits.push(counters(fields));
+                }
+                "bmc_group" => {
+                    assert_eq!(keys, group_keys);
+                    group_exits.push(counters(fields));
+                }
+                _ => {}
+            }
+        }
+        // Depths 0..=5 of the single run, 0..=8 of the group run.
+        assert_eq!(frames, 6 + 9);
+        let expected = |r: &BmcReport| {
+            let s = r.stats.solver;
+            vec![
+                s.conflicts,
+                s.propagations,
+                s.decisions,
+                s.learned,
+                s.restarts,
+            ]
+        };
+        let mut want = vec![expected(&single)];
+        want.extend(group.iter().map(expected));
+        assert_eq!(bmc_exits, want);
+        assert_eq!(group_exits, [expected(&group[0])]);
+        assert!(want.iter().all(|c| c[0] > 0 && c[1] > 0 && c[2] > 0));
     }
 
     #[test]

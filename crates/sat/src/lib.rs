@@ -148,26 +148,40 @@ mod tests {
         })
     }
 
-    #[test]
-    fn random_cnf_agrees_with_brute_force() {
-        // Deterministic splitmix64 stream of random 3-CNF instances.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
+    /// A deterministic splitmix64 stream.
+    fn splitmix64(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
-        };
+        }
+    }
+
+    /// `len` random literals over `num_vars` variables, as (variable,
+    /// polarity) pairs.
+    fn random_lits(
+        next: &mut impl FnMut() -> u64,
+        num_vars: usize,
+        len: usize,
+    ) -> Vec<(usize, bool)> {
+        (0..len)
+            .map(|_| ((next() as usize) % num_vars, next() & 1 == 1))
+            .collect()
+    }
+
+    #[test]
+    fn random_cnf_agrees_with_brute_force() {
+        // Random 3-CNF instances, each solved once without assumptions.
+        let mut next = splitmix64(0x9e37_79b9_7f4a_7c15);
         for round in 0..200 {
             let num_vars = 3 + (next() % 6) as usize; // 3..=8
             let num_clauses = (next() % 28) as usize;
             let clauses: Vec<Vec<(usize, bool)>> = (0..num_clauses)
                 .map(|_| {
                     let len = 1 + (next() % 3) as usize;
-                    (0..len)
-                        .map(|_| ((next() as usize) % num_vars, next() & 1 == 1))
-                        .collect()
+                    random_lits(&mut next, num_vars, len)
                 })
                 .collect();
             let mut s = Solver::new();
@@ -192,6 +206,80 @@ mod tests {
                 other => panic!("round {round}: brute force vs solver disagree: {other:?}"),
             }
         }
+    }
+
+    /// One solver per random instance answers several calls under random
+    /// assumptions, with clauses added between calls, so learnt clauses
+    /// and their reasons carry over. Every SAT model satisfies the clauses
+    /// and the assumptions; every UNSAT core is a subset of the
+    /// assumptions that the clauses alone refute.
+    #[test]
+    fn incremental_solves_agree_with_brute_force() {
+        let mut next = splitmix64(0x2545_f491_4f6c_dd1d);
+        let (mut sat, mut unsat_with_core) = (0, 0);
+        let mut conflicts = 0;
+        for round in 0..200 {
+            // Random 3-CNF grown past the satisfiability threshold, so
+            // the later calls need real search and learnt clauses.
+            let num_vars = 8 + (next() % 7) as usize; // 8..=14
+            let mut s = Solver::new();
+            let vars: Vec<_> = (0..num_vars).map(|_| s.new_var()).collect();
+            let mut clauses: Vec<Vec<(usize, bool)>> = Vec::new();
+            for call in 0..6 {
+                for _ in 0..next() % 24 {
+                    let c = random_lits(&mut next, num_vars, 3);
+                    s.add_clause(c.iter().map(|&(v, positive)| vars[v].lit(positive)));
+                    clauses.push(c);
+                }
+                let num_assumed = (next() % 5) as usize;
+                let assumed = random_lits(&mut next, num_vars, num_assumed);
+                let assumptions: Vec<Lit> = assumed
+                    .iter()
+                    .map(|&(v, positive)| vars[v].lit(positive))
+                    .collect();
+                let with_units = |units: &[(usize, bool)]| {
+                    let mut all = clauses.clone();
+                    all.extend(units.iter().map(|&u| vec![u]));
+                    all
+                };
+                let expected = brute_force_sat(num_vars, &with_units(&assumed));
+                let at = format!("round {round}, call {call}");
+                match s.solve(&assumptions) {
+                    SolveResult::Sat => {
+                        assert!(expected, "{at}: solver says SAT, brute force UNSAT");
+                        for c in with_units(&assumed) {
+                            assert!(
+                                c.iter()
+                                    .any(|&(v, positive)| s.value(vars[v]) == Some(positive)),
+                                "{at}: model violates {c:?}"
+                            );
+                        }
+                        sat += 1;
+                    }
+                    SolveResult::Unsat => {
+                        assert!(!expected, "{at}: solver says UNSAT, brute force SAT");
+                        let core: Vec<(usize, bool)> = s
+                            .core()
+                            .iter()
+                            .map(|l| (l.var().index(), l.is_positive()))
+                            .collect();
+                        assert!(
+                            core.iter().all(|l| assumed.contains(l)),
+                            "{at}: core {core:?} is not within {assumed:?}"
+                        );
+                        assert!(
+                            !brute_force_sat(num_vars, &with_units(&core)),
+                            "{at}: core {core:?} is satisfiable with the clauses"
+                        );
+                        unsat_with_core += usize::from(!core.is_empty());
+                    }
+                    SolveResult::Unknown(e) => panic!("{at}: unlimited budget ran out: {e:?}"),
+                }
+            }
+            conflicts += s.stats().conflicts;
+        }
+        // The stream exercises both answers and real conflict analysis.
+        assert!(sat > 0 && unsat_with_core > 0 && conflicts > 0);
     }
 
     /// A 3-bit counter counting 0,1,2,… with a watchdog gate at value 5.
