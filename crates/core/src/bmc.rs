@@ -27,6 +27,10 @@
 //! boundaries, so a portfolio controller can cancel the lane
 //! cooperatively; the loop itself re-checks the budget (including an
 //! optional [`GovPhase::Bmc`] quota) between depths.
+//!
+//! There is one loop, [`verify_bmc_group`]'s: it unrolls a group's union
+//! cone of influence once and checks every pending member at each depth.
+//! [`verify_bmc`] runs it on a group of one.
 
 use std::time::{Duration, Instant};
 
@@ -162,7 +166,8 @@ pub struct BmcReport {
 }
 
 /// Runs SAT-based bounded model checking on the property's cone of
-/// influence, refining a register-subset abstraction from UNSAT cores.
+/// influence, refining a register-subset abstraction from UNSAT cores:
+/// [`verify_bmc_group`]'s loop on a group of one, inside a `bmc` span.
 ///
 /// # Errors
 ///
@@ -180,11 +185,11 @@ pub fn verify_bmc(
         "bmc",
         vec![("property".to_owned(), property.name.as_str().into())],
     );
-    let result = verify_bmc_inner(netlist, property, options);
-    if let Ok(report) = &result {
-        record_report(&mut span, report);
-    }
-    result
+    let [report] = bmc_reports(netlist, std::slice::from_ref(property), options)?
+        .try_into()
+        .expect("one report per property");
+    record_report(&mut span, &report);
+    Ok(report)
 }
 
 /// Records a report's verdict and statistics on its `bmc` span exit.
@@ -209,203 +214,6 @@ fn record_report(span: &mut Span, report: &BmcReport) {
     }
 }
 
-fn verify_bmc_inner(
-    netlist: &Netlist,
-    property: &Property,
-    options: &BmcOptions,
-) -> Result<BmcReport, RfnError> {
-    let start = Instant::now();
-    if property.signal.index() >= netlist.num_signals() {
-        return Err(RfnError::BadProperty(format!(
-            "signal of property '{}' is not in design '{}'",
-            property.name,
-            netlist.name()
-        )));
-    }
-    let budget = &options.common.budget;
-    let ctx = &options.common.trace;
-    let mut solver = Solver::new();
-    solver.set_budget(budget.clone());
-    let mut unroller = Unroller::new(netlist, &mut solver, [property.signal])?;
-    let registers: Vec<SignalId> = unroller.coi().registers().to_vec();
-    let mut stats = BmcStats {
-        coi_registers: registers.len(),
-        coi_gates: unroller.coi().gates().len(),
-        ..BmcStats::default()
-    };
-    // The abstraction: registers whose activation literal is assumed in
-    // abstract solves. Grown from failed-assumption cores.
-    let mut active = vec![false; netlist.num_signals()];
-    let mut num_active = 0usize;
-    let phase_deadline = budget.deadline_for(GovPhase::Bmc);
-    let mut safe_depth: Option<usize> = None;
-
-    let finish = |verdict: BmcVerdict,
-                  trace: Option<Trace>,
-                  mut stats: BmcStats,
-                  solver: &Solver,
-                  num_active: usize| {
-        stats.abstract_registers = num_active;
-        stats.vars = solver.num_vars();
-        stats.clauses = solver.num_clauses();
-        stats.solver = solver.stats();
-        stats.elapsed = start.elapsed();
-        Ok(BmcReport {
-            verdict,
-            trace,
-            stats,
-        })
-    };
-
-    for k in 0..=options.max_depth {
-        if let Err(reason) = budget.check() {
-            return finish(
-                BmcVerdict::OutOfBudget {
-                    depth: safe_depth,
-                    reason,
-                },
-                None,
-                stats,
-                &solver,
-                num_active,
-            );
-        }
-        if phase_deadline.is_some_and(|d| Instant::now() >= d) {
-            return finish(
-                BmcVerdict::OutOfBudget {
-                    depth: safe_depth,
-                    reason: Exhaustion::TimeLimit,
-                },
-                None,
-                stats,
-                &solver,
-                num_active,
-            );
-        }
-        unroller.ensure_frame(&mut solver, k);
-        let bad = match unroller.term(k, property.signal) {
-            Term::Const(b) if b == property.value => None,
-            Term::Const(_) => {
-                // The bad value is structurally impossible at this frame.
-                safe_depth = Some(k);
-                continue;
-            }
-            Term::Lit(l) => Some(if property.value { l } else { !l }),
-        };
-        // Abstract solve: only the refined registers are activated.
-        let abstract_sat = if num_active == registers.len() && bad.is_some() {
-            // Abstraction is complete: the concrete solve below is the
-            // abstract solve.
-            true
-        } else {
-            let mut assumptions: Vec<Lit> = registers
-                .iter()
-                .filter(|r| active[r.index()])
-                .map(|&r| unroller.activation(r))
-                .collect();
-            assumptions.extend(bad);
-            match solver.solve(&assumptions) {
-                SolveResult::Sat => true,
-                SolveResult::Unsat => false,
-                SolveResult::Unknown(reason) => {
-                    return finish(
-                        BmcVerdict::OutOfBudget {
-                            depth: safe_depth,
-                            reason,
-                        },
-                        None,
-                        stats,
-                        &solver,
-                        num_active,
-                    );
-                }
-            }
-        };
-        if abstract_sat {
-            // Concrete solve: every register activated.
-            let mut assumptions: Vec<Lit> = unroller.activations().collect();
-            assumptions.extend(bad);
-            match solver.solve(&assumptions) {
-                SolveResult::Sat => {
-                    let trace =
-                        extract_trace(&solver, &unroller, &registers, unroller.coi().inputs(), k);
-                    emit_frame_point(ctx, k, &solver, num_active);
-                    if !validate_trace(netlist, property, &trace)? {
-                        return Err(RfnError::Witness {
-                            phase: Phase::Concretize,
-                            detail: format!(
-                                "BMC counterexample of property '{}' at depth {k} \
-                                 failed concrete replay",
-                                property.name
-                            ),
-                        });
-                    }
-                    return finish(
-                        BmcVerdict::Falsified { depth: k },
-                        Some(trace),
-                        stats,
-                        &solver,
-                        num_active,
-                    );
-                }
-                SolveResult::Unsat => {
-                    // The concrete model refutes the abstract counterexample
-                    // at this depth, so depth k is safe; the failed
-                    // assumptions name the registers to refine with.
-                    let core_regs: Vec<SignalId> = registers
-                        .iter()
-                        .copied()
-                        .filter(|&r| {
-                            !active[r.index()] && solver.core().contains(&unroller.activation(r))
-                        })
-                        .collect();
-                    if !core_regs.is_empty() {
-                        stats.refinements += 1;
-                        ctx.point(
-                            "bmc.refine",
-                            vec![
-                                ("depth".to_owned(), k.into()),
-                                ("core_registers".to_owned(), core_regs.len().into()),
-                                (
-                                    "abstract_registers".to_owned(),
-                                    (num_active + core_regs.len()).into(),
-                                ),
-                            ],
-                        );
-                        for r in core_regs {
-                            active[r.index()] = true;
-                            num_active += 1;
-                        }
-                    }
-                }
-                SolveResult::Unknown(reason) => {
-                    return finish(
-                        BmcVerdict::OutOfBudget {
-                            depth: safe_depth,
-                            reason,
-                        },
-                        None,
-                        stats,
-                        &solver,
-                        num_active,
-                    );
-                }
-            }
-        }
-        safe_depth = Some(k);
-        emit_frame_point(ctx, k, &solver, num_active);
-    }
-    finish(
-        BmcVerdict::BoundedSafe {
-            depth: options.max_depth,
-        },
-        None,
-        stats,
-        &solver,
-        num_active,
-    )
-}
-
 /// Runs the group BMC lane: one [`Unroller`] over the union cone of
 /// influence of a property group and one incremental solver in which each
 /// property's bad literal is a per-call assumption, so learned clauses and
@@ -414,7 +222,7 @@ fn verify_bmc_inner(
 /// At every depth each still-pending property is checked in index order;
 /// falsified properties retire with a validated counterexample at that
 /// depth (the shortest, since depths ascend and every pending property is
-/// checked at every depth — identical to a dedicated [`verify_bmc`] run).
+/// checked at every depth, whatever the group's size).
 /// The register-subset abstraction and its UNSAT-core refinements are
 /// shared by the whole group. Returns one [`BmcReport`] per property,
 /// indexed like the input slice: COI sizes are each property's own, while
@@ -440,7 +248,7 @@ pub fn verify_bmc_group(
             ("members".to_owned(), properties.len().into()),
         ],
     );
-    let result = verify_bmc_group_inner(netlist, properties, options);
+    let result = bmc_reports(netlist, properties, options);
     if let Ok(reports) = &result {
         let falsified = reports
             .iter()
@@ -454,9 +262,9 @@ pub fn verify_bmc_group(
                 span.record(key, value);
             }
         }
-        // Per-property spans carry the same fields as a dedicated
-        // `verify_bmc` run, so downstream consumers keep one span per
-        // property whether or not grouping is on.
+        // Per-property spans carry the same fields as a `verify_bmc` run,
+        // so downstream consumers keep one span per property whether or
+        // not grouping is on.
         for (p, report) in properties.iter().zip(reports) {
             let mut ps = options
                 .common
@@ -468,7 +276,10 @@ pub fn verify_bmc_group(
     result
 }
 
-fn verify_bmc_group_inner(
+/// The BMC loop: checks every pending member of `properties` at each depth
+/// on one unrolling of their union cone of influence, and returns one
+/// report per property.
+fn bmc_reports(
     netlist: &Netlist,
     properties: &[Property],
     options: &BmcOptions,
@@ -492,10 +303,14 @@ fn verify_bmc_group_inner(
     // clause database.
     let mut unroller = Unroller::new(netlist, &mut solver, properties.iter().map(|p| p.signal))?;
     let registers: Vec<SignalId> = unroller.coi().registers().to_vec();
-    let member_cois: Vec<Coi> = properties
-        .iter()
-        .map(|p| Coi::of(netlist, [p.signal]))
-        .collect();
+    // A singleton's own cone is the unrolled one.
+    let member_cois: Vec<Coi> = match properties {
+        [_] => vec![unroller.coi().clone()],
+        _ => properties
+            .iter()
+            .map(|p| Coi::of(netlist, [p.signal]))
+            .collect(),
+    };
     // The shared abstraction: a register activated for one member stays
     // activated for all. Soundness is per-solve — freeing registers only
     // adds behaviour, and falsification is always decided by the concrete
@@ -517,17 +332,7 @@ fn verify_bmc_group_inner(
             Ok(()) => None,
         };
         if let Some(reason) = exhausted {
-            for (pi, o) in outcomes.iter_mut().enumerate() {
-                if o.is_none() {
-                    *o = Some((
-                        BmcVerdict::OutOfBudget {
-                            depth: safe_depth[pi],
-                            reason,
-                        },
-                        None,
-                    ));
-                }
-            }
+            out_of_budget_rest(&mut outcomes, &safe_depth, reason);
             break 'depths;
         }
         unroller.ensure_frame(&mut solver, k);
@@ -545,7 +350,10 @@ fn verify_bmc_group_inner(
                 }
                 Term::Lit(l) => Some(if property.value { l } else { !l }),
             };
+            // Abstract solve: only the refined registers are activated.
             let abstract_sat = if num_active == registers.len() && bad.is_some() {
+                // Abstraction is complete: the concrete solve below is the
+                // abstract solve.
                 true
             } else {
                 let mut assumptions: Vec<Lit> = registers
@@ -564,6 +372,7 @@ fn verify_bmc_group_inner(
                 }
             };
             if abstract_sat {
+                // Concrete solve: every register activated.
                 let mut assumptions: Vec<Lit> = unroller.activations().collect();
                 assumptions.extend(bad);
                 match solver.solve(&assumptions) {
@@ -589,6 +398,10 @@ fn verify_bmc_group_inner(
                         continue;
                     }
                     SolveResult::Unsat => {
+                        // The concrete model refutes the abstract
+                        // counterexample at this depth, so depth k is safe;
+                        // the failed assumptions name the registers to
+                        // refine with.
                         let core_regs: Vec<SignalId> = registers
                             .iter()
                             .copied()
@@ -930,10 +743,12 @@ mod tests {
 
     /// Every `bmc.frame` point and every `bmc` and `bmc_group` exit
     /// carries all five solver counters after its older fields, and the
-    /// exits carry the reports' values.
+    /// exits carry the reports' values. Single and group runs trace alike:
+    /// a frame point at every depth checked, also where the bad value is
+    /// structurally impossible, and `bmc.refine` points with the same keys.
     #[test]
     fn trace_events_carry_every_solver_counter() {
-        use rfn_trace::{EventKind, MemorySink, Value};
+        use rfn_trace::{Event, EventKind, MemorySink, Value};
         const COUNTERS: [&str; 5] = [
             "conflicts",
             "propagations",
@@ -941,17 +756,30 @@ mod tests {
             "learned",
             "restarts",
         ];
-        let sink = std::sync::Arc::new(MemorySink::new());
-        let opts = BmcOptions::default()
-            .with_max_depth(8)
-            .with_trace(TraceCtx::new(sink.clone()));
+        fn traced<T>(run: impl FnOnce(&BmcOptions) -> T) -> (T, Vec<Event>) {
+            let sink = std::sync::Arc::new(MemorySink::new());
+            let opts = BmcOptions::default()
+                .with_max_depth(8)
+                .with_trace(TraceCtx::new(sink.clone()));
+            (run(&opts), sink.take())
+        }
         let (n, p) = counter3(5);
-        let single = verify_bmc(&n, &p, &opts).unwrap();
+        let (single, single_events) = traced(|opts| verify_bmc(&n, &p, opts).unwrap());
         let (gn, properties) = counter3_multi(&[2, 6]);
-        let group = verify_bmc_group(&gn, &properties, "g0", &opts).unwrap();
+        let (group, group_events) =
+            traced(|opts| verify_bmc_group(&gn, &properties, "g0", opts).unwrap());
+        // A property over a constant net: its bad value is impossible at
+        // every depth, so no depth needs a solve.
+        let mut cn = Netlist::new("const");
+        let low = cn.add_const("low", false);
+        cn.validate().unwrap();
+        let cp = Property::never(&cn, "low_stays_low", low);
+        let (constant, constant_events) = traced(|opts| verify_bmc(&cn, &cp, opts).unwrap());
+        assert_eq!(constant.verdict, BmcVerdict::BoundedSafe { depth: 8 });
 
         let frame_keys = ["depth", "conflicts", "propagations", "abstract_registers"];
         let frame_keys = [&frame_keys[..], &COUNTERS[2..]].concat();
+        let refine_keys = ["depth", "property", "core_registers", "abstract_registers"];
         let exit_keys = [
             "verdict",
             "depth",
@@ -971,32 +799,40 @@ mod tests {
                 })
                 .collect()
         };
-        let (mut frames, mut bmc_exits, mut group_exits) = (0, Vec::new(), Vec::new());
-        for e in sink.take() {
-            let (EventKind::Point { name, fields, .. } | EventKind::Exit { name, fields, .. }) =
-                &e.kind
-            else {
-                continue;
-            };
-            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-            match name.as_str() {
-                "bmc.frame" => {
-                    assert_eq!(keys, frame_keys);
-                    frames += 1;
+        // Frame points, refine points, `bmc` exits' and `bmc_group` exits'
+        // counters of one run's events, checking every key list on the way.
+        let tally = |events: Vec<Event>| {
+            let (mut frames, mut refines) = (0, 0);
+            let (mut bmc_exits, mut group_exits) = (Vec::new(), Vec::new());
+            for e in events {
+                let (EventKind::Point { name, fields, .. } | EventKind::Exit { name, fields, .. }) =
+                    &e.kind
+                else {
+                    continue;
+                };
+                let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+                match name.as_str() {
+                    "bmc.frame" => {
+                        assert_eq!(keys, frame_keys);
+                        frames += 1;
+                    }
+                    "bmc.refine" => {
+                        assert_eq!(keys, refine_keys);
+                        refines += 1;
+                    }
+                    "bmc" => {
+                        assert_eq!(keys, exit_keys);
+                        bmc_exits.push(counters(fields));
+                    }
+                    "bmc_group" => {
+                        assert_eq!(keys, group_keys);
+                        group_exits.push(counters(fields));
+                    }
+                    _ => {}
                 }
-                "bmc" => {
-                    assert_eq!(keys, exit_keys);
-                    bmc_exits.push(counters(fields));
-                }
-                "bmc_group" => {
-                    assert_eq!(keys, group_keys);
-                    group_exits.push(counters(fields));
-                }
-                _ => {}
             }
-        }
-        // Depths 0..=5 of the single run, 0..=8 of the group run.
-        assert_eq!(frames, 6 + 9);
+            (frames, refines, bmc_exits, group_exits)
+        };
         let expected = |r: &BmcReport| {
             let s = r.stats.solver;
             vec![
@@ -1007,11 +843,23 @@ mod tests {
                 s.restarts,
             ]
         };
-        let mut want = vec![expected(&single)];
-        want.extend(group.iter().map(expected));
+
+        // Depths 0..=5 of the single run, 0..=8 of the group run.
+        let (frames, refines, bmc_exits, group_exits) = tally(single_events);
+        assert_eq!((frames, group_exits.len()), (6, 0));
+        assert!(refines > 0, "the single run never refined");
+        assert_eq!(bmc_exits, [expected(&single)]);
+        let (frames, refines, bmc_exits, group_exits) = tally(group_events);
+        assert_eq!(frames, 9);
+        assert!(refines > 0, "the group run never refined");
+        let want: Vec<_> = group.iter().map(expected).collect();
         assert_eq!(bmc_exits, want);
         assert_eq!(group_exits, [expected(&group[0])]);
         assert!(want.iter().all(|c| c[0] > 0 && c[1] > 0 && c[2] > 0));
+        // Depths 0..=8 of the constant property, none of them solved.
+        let (frames, refines, bmc_exits, _) = tally(constant_events);
+        assert_eq!((frames, refines), (9, 0));
+        assert_eq!(bmc_exits, [expected(&constant)]);
     }
 
     #[test]

@@ -206,15 +206,8 @@ impl Engine for PlainMcEngine<'_> {
         opts.common.budget = budget;
         opts.common.trace = ctx.clone();
         let report = verify_plain(self.netlist, &self.property, &opts)?;
-        let verdict = match report.verdict {
-            PlainVerdict::Proved => Verdict::Proved,
-            PlainVerdict::Falsified { depth } => Verdict::Falsified { trace: None, depth },
-            PlainVerdict::OutOfCapacity => Verdict::Inconclusive {
-                reason: "plain model checking out of capacity".to_owned(),
-            },
-        };
         Ok(EngineOutcome {
-            verdict,
+            verdict: plain_verdict(&report),
             plain: Some(report),
             ..EngineOutcome::default()
         })
@@ -253,26 +246,43 @@ impl Engine for BmcEngine<'_> {
         opts.common.budget = budget;
         opts.common.trace = ctx.clone();
         let report = verify_bmc(self.netlist, &self.property, &opts)?;
-        let verdict = match report.verdict {
-            BmcVerdict::Falsified { depth } => Verdict::Falsified {
-                trace: report.trace.clone(),
-                depth,
-            },
-            BmcVerdict::BoundedSafe { depth } => Verdict::Inconclusive {
-                reason: format!("no counterexample up to bounded depth {depth}"),
-            },
-            BmcVerdict::OutOfBudget { depth, ref reason } => Verdict::Inconclusive {
-                reason: match depth {
-                    Some(d) => format!("{reason} after completing depth {d}"),
-                    None => format!("{reason} before completing any depth"),
-                },
-            },
-        };
         Ok(EngineOutcome {
-            verdict,
+            verdict: bmc_verdict(&report),
             bmc: Some(report),
             ..EngineOutcome::default()
         })
+    }
+}
+
+/// The engine-independent verdict of a plain-MC report: running out of
+/// capacity is inconclusive.
+pub(crate) fn plain_verdict(report: &PlainReport) -> Verdict {
+    match report.verdict {
+        PlainVerdict::Proved => Verdict::Proved,
+        PlainVerdict::Falsified { depth } => Verdict::Falsified { trace: None, depth },
+        PlainVerdict::OutOfCapacity => Verdict::Inconclusive {
+            reason: "plain model checking out of capacity".to_owned(),
+        },
+    }
+}
+
+/// The engine-independent verdict of a BMC report: a bounded-safe run
+/// proves nothing, so it is inconclusive like an exhausted one.
+pub(crate) fn bmc_verdict(report: &BmcReport) -> Verdict {
+    match &report.verdict {
+        BmcVerdict::Falsified { depth } => Verdict::Falsified {
+            trace: report.trace.clone(),
+            depth: *depth,
+        },
+        BmcVerdict::BoundedSafe { depth } => Verdict::Inconclusive {
+            reason: format!("no counterexample up to bounded depth {depth}"),
+        },
+        BmcVerdict::OutOfBudget { depth, reason } => Verdict::Inconclusive {
+            reason: match depth {
+                Some(d) => format!("{reason} after completing depth {d}"),
+                None => format!("{reason} before completing any depth"),
+            },
+        },
     }
 }
 

@@ -87,8 +87,8 @@ impl HybridStats {
 /// protecting them from garbage collection. Build it after the iteration's
 /// fixpoint and drop it with the model: between the two, nothing may
 /// collect or reorder that manager. The engine's own operations do
-/// neither. Only the reach loops (`rfn_mc::forward_reach` and its
-/// multi-target form) turn automatic collection on, and only their
+/// neither. Only the reach loop (behind `rfn_mc::forward_reach` and its
+/// multi-target form) turns automatic collection on, and only its
 /// `reorder_step` sifts. Because BDDs are canonical, an engine reused
 /// across queries then returns the same pre-images, cubes and traces as a
 /// fresh engine built for each query.

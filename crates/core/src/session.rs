@@ -38,15 +38,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rfn_govern::Budget;
-use rfn_mc::{verify_plain_group, GroupOptions, PlainOptions, PlainReport, PlainVerdict};
+use rfn_mc::{verify_plain_group, GroupOptions, PlainOptions, PlainReport};
 use rfn_netlist::{CoverageSet, Netlist, Property, PropertyGroups};
 use rfn_trace::{merge_streams, Event, FanoutSink, MemorySink, StderrSink, TraceCtx, TraceSink};
 
-use crate::engine::{build_engines, run_engines};
+use crate::engine::{bmc_verdict, build_engines, plain_verdict, run_engines};
 use crate::{
-    analyze_coverage, parallel_map, verify_bmc_group, BmcOptions, BmcReport, BmcVerdict,
-    CoverageOptions, CoverageReport, DesignIdentity, EngineKind, RfnError, RfnOptions, RfnStats,
-    Verdict,
+    analyze_coverage, parallel_map, verify_bmc_group, BmcOptions, BmcReport, CoverageOptions,
+    CoverageReport, DesignIdentity, EngineKind, RfnError, RfnOptions, RfnStats, Verdict,
 };
 
 /// Default Jaccard COI-overlap threshold for property grouping.
@@ -267,9 +266,10 @@ impl<'n> VerifySession<'n> {
     /// overlap (Jaccard at least [`VerifySession::group_threshold`]) share
     /// one job: one model build, one reachability fixpoint (or one
     /// incremental SAT unrolling), one warm-start store entry. Verdicts and
-    /// falsification depths are identical to ungrouped runs; singleton
-    /// groups take the exact per-property path. The RFN and race lanes
-    /// always run per property.
+    /// falsification depths are identical to ungrouped runs. Singleton
+    /// groups run through the per-property engine lanes, whose plain-MC and
+    /// BMC bodies are the group bodies on a group of one. The RFN and race
+    /// lanes always run per property.
     #[must_use]
     pub fn grouping(mut self, grouping: bool) -> Self {
         self.grouping = grouping;
@@ -393,7 +393,9 @@ impl<'n> VerifySession<'n> {
                 let out = if i < n_groups {
                     let (members, key) = &groups[i];
                     if let [pi] = members[..] {
-                        // Singleton groups keep the exact per-property path.
+                        // Singletons run through the engine lanes (so the
+                        // race and RFN lanes work), which run the plain-MC
+                        // and BMC group bodies on a group of one.
                         self.run_property(&self.properties[pi], ctx)
                             .map(|r| JobOut::Props(vec![(pi, r)]))
                     } else {
@@ -477,7 +479,7 @@ impl<'n> VerifySession<'n> {
             .iter()
             .map(|&pi| self.properties[pi].clone())
             .collect();
-        match self.engine {
+        let results: Vec<PropertyResult> = match self.engine {
             EngineKind::PlainMc => {
                 let mut plain = self.plain_options.clone();
                 plain.common.trace = ctx;
@@ -489,70 +491,39 @@ impl<'n> VerifySession<'n> {
                     opts = opts.with_design_hash(hash);
                 }
                 let reports = verify_plain_group(self.netlist, &props, key, &opts)?;
-                Ok(members
-                    .iter()
-                    .zip(props.into_iter().zip(reports))
-                    .map(|(&pi, (property, report))| {
-                        let verdict = match report.verdict {
-                            PlainVerdict::Proved => Verdict::Proved,
-                            PlainVerdict::Falsified { depth } => {
-                                Verdict::Falsified { trace: None, depth }
-                            }
-                            PlainVerdict::OutOfCapacity => Verdict::Inconclusive {
-                                reason: "plain model checking out of capacity".to_owned(),
-                            },
-                        };
-                        let result = PropertyResult {
-                            property,
-                            verdict,
-                            stats: None,
-                            plain: Some(report),
-                            bmc: None,
-                        };
-                        (pi, result)
+                props
+                    .into_iter()
+                    .zip(reports)
+                    .map(|(property, report)| PropertyResult {
+                        property,
+                        verdict: plain_verdict(&report),
+                        stats: None,
+                        plain: Some(report),
+                        bmc: None,
                     })
-                    .collect())
+                    .collect()
             }
             EngineKind::Bmc => {
                 let mut opts = self.bmc_options.clone();
                 opts.common.trace = ctx;
                 let reports = verify_bmc_group(self.netlist, &props, key, &opts)?;
-                Ok(members
-                    .iter()
-                    .zip(props.into_iter().zip(reports))
-                    .map(|(&pi, (property, report))| {
-                        let verdict = match report.verdict {
-                            BmcVerdict::Falsified { depth } => Verdict::Falsified {
-                                trace: report.trace.clone(),
-                                depth,
-                            },
-                            BmcVerdict::BoundedSafe { depth } => Verdict::Inconclusive {
-                                reason: format!("no counterexample up to bounded depth {depth}"),
-                            },
-                            BmcVerdict::OutOfBudget { depth, ref reason } => {
-                                Verdict::Inconclusive {
-                                    reason: match depth {
-                                        Some(d) => format!("{reason} after completing depth {d}"),
-                                        None => format!("{reason} before completing any depth"),
-                                    },
-                                }
-                            }
-                        };
-                        let result = PropertyResult {
-                            property,
-                            verdict,
-                            stats: None,
-                            plain: None,
-                            bmc: Some(report),
-                        };
-                        (pi, result)
+                props
+                    .into_iter()
+                    .zip(reports)
+                    .map(|(property, report)| PropertyResult {
+                        property,
+                        verdict: bmc_verdict(&report),
+                        stats: None,
+                        plain: None,
+                        bmc: Some(report),
                     })
-                    .collect())
+                    .collect()
             }
             EngineKind::Rfn | EngineKind::Race => {
                 unreachable!("grouping only schedules the plain-MC and BMC lanes")
             }
-        }
+        };
+        Ok(members.iter().copied().zip(results).collect())
     }
 
     fn run_property(&self, property: &Property, ctx: TraceCtx) -> Result<PropertyResult, RfnError> {

@@ -1,12 +1,13 @@
 //! Integration tests for multi-property group scheduling: the merged
 //! event stream stays byte-identical at any thread count with grouping
-//! on, and grouped sessions agree verdict-for-verdict (and
-//! depth-for-depth) with ungrouped ones on randomized designs.
+//! on, grouped sessions agree verdict-for-verdict (and depth-for-depth)
+//! with ungrouped ones on randomized designs, and the grouped plain-MC and
+//! BMC lanes agree with each other.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rfn_core::{EngineKind, Verdict, VerifySession};
+use rfn_core::{BmcVerdict, EngineKind, PlainVerdict, PropertyResult, Verdict, VerifySession};
 use rfn_netlist::{GateOp, Netlist, Property, SignalId};
 use rfn_trace::{to_jsonl, MemorySink};
 
@@ -147,12 +148,12 @@ fn fingerprint(v: &Verdict) -> String {
     }
 }
 
-fn session_fingerprints(
+fn session_results(
     netlist: &Netlist,
     props: &[Property],
     engine: EngineKind,
     grouping: bool,
-) -> Vec<String> {
+) -> Vec<PropertyResult> {
     VerifySession::new(netlist)
         .properties(props.iter().cloned())
         .engine(engine)
@@ -161,6 +162,15 @@ fn session_fingerprints(
         .run()
         .unwrap()
         .results
+}
+
+fn session_fingerprints(
+    netlist: &Netlist,
+    props: &[Property],
+    engine: EngineKind,
+    grouping: bool,
+) -> Vec<String> {
+    session_results(netlist, props, engine, grouping)
         .iter()
         .map(|r| fingerprint(&r.verdict))
         .collect()
@@ -178,12 +188,35 @@ proptest! {
         prop_assert_eq!(grouped, ungrouped);
     }
 
-    /// The same parity for the group BMC lane (shared unroller and
-    /// incremental solver vs. one dedicated run per property).
+    /// The same parity for the group BMC lane (one shared unroller and
+    /// incremental solver vs. one per property). Per property, grouped BMC
+    /// also agrees with grouped plain MC, an engine that shares no code
+    /// with it: the same falsification depth, and bounded safety exactly
+    /// where plain MC proves the property.
     #[test]
     fn grouped_bmc_matches_ungrouped((n, props) in arb_design(3, 4, 10, 4)) {
-        let grouped = session_fingerprints(&n, &props, EngineKind::Bmc, true);
+        let grouped = session_results(&n, &props, EngineKind::Bmc, true);
         let ungrouped = session_fingerprints(&n, &props, EngineKind::Bmc, false);
-        prop_assert_eq!(grouped, ungrouped);
+        let fingerprints: Vec<String> = grouped.iter().map(|r| fingerprint(&r.verdict)).collect();
+        prop_assert_eq!(fingerprints, ungrouped);
+        let plain = session_results(&n, &props, EngineKind::PlainMc, true);
+        for (p, b) in plain.iter().zip(&grouped) {
+            let plain = &p.plain.as_ref().expect("plain report").verdict;
+            let bmc = &b.bmc.as_ref().expect("BMC report").verdict;
+            match *plain {
+                PlainVerdict::Proved => prop_assert!(
+                    matches!(bmc, BmcVerdict::BoundedSafe { .. }),
+                    "{}: plain proved, BMC {:?}",
+                    p.property.name,
+                    bmc
+                ),
+                PlainVerdict::Falsified { depth } => {
+                    prop_assert_eq!(bmc, &BmcVerdict::Falsified { depth }, "{}", &p.property.name)
+                }
+                PlainVerdict::OutOfCapacity => {
+                    prop_assert!(false, "{}: plain MC out of capacity", p.property.name)
+                }
+            }
+        }
     }
 }

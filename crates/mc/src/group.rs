@@ -1,25 +1,25 @@
 //! Group verification for the plain symbolic model checker: one shared
 //! model, reached set and warm-start store entry per COI cluster.
 //!
-//! [`verify_plain_group`] is the multi-property counterpart of
-//! [`verify_plain`](crate::verify_plain): it builds *one* symbolic model over
-//! the union cone of influence of a property group, turns every member into a
-//! target BDD, and discharges all of them with a single
-//! [`forward_reach_multi`] fixpoint. Per-property verdicts and falsification
-//! depths are identical to dedicated runs (see the [`multi`](crate::multi
-//! docs) module); the group pays for one model build, one cluster schedule,
-//! one FORCE order and — when a store directory is configured — one
-//! warm-start store entry instead of one per property.
+//! [`verify_plain_group`] builds *one* symbolic model over the union cone of
+//! influence of a property group, turns every member into a target BDD, and
+//! discharges all of them with a single [`forward_reach_multi_warm`]
+//! fixpoint. The group pays for one model build, one cluster schedule, one
+//! FORCE order and — when a store directory is configured — one warm-start
+//! store entry instead of one per property. The same body decides a single
+//! property: [`verify_plain`](crate::verify_plain) runs it as a group of
+//! one, without a store.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use rfn_bdd::Bdd;
 use rfn_netlist::{Abstraction, Coi, Netlist, Property};
 
+use crate::plain::record_report;
 use crate::{
     forward_reach_multi_warm, McError, ModelSpec, PlainOptions, PlainReport, PlainVerdict,
-    SymbolicModel, TargetVerdict,
+    ReachVerdict, SymbolicModel,
 };
 
 /// Configuration for [`verify_plain_group`].
@@ -93,7 +93,14 @@ pub fn verify_plain_group(
             ("members".to_owned(), properties.len().into()),
         ],
     );
-    let result = verify_group_inner(netlist, properties, key, options);
+    let result = plain_reports(
+        netlist,
+        properties,
+        key,
+        &options.plain,
+        options.store_dir.as_deref(),
+        options.design_hash,
+    );
     if let Ok(reports) = &result {
         let falsified = reports
             .iter()
@@ -109,51 +116,44 @@ pub fn verify_plain_group(
             span.record("steps", r.steps);
             span.record("peak_nodes", r.peak_nodes);
         }
-    }
-    // Per-property spans carry the same fields as a dedicated
-    // `verify_plain` run, so downstream consumers keep one span per
-    // property whether or not grouping is on.
-    if let Ok(reports) = &result {
+        // Per-property spans carry the same fields as a `verify_plain`
+        // run, so downstream consumers keep one span per property whether
+        // or not grouping is on.
         for (p, report) in properties.iter().zip(reports) {
             let mut ps = options.plain.common.trace.span_with(
                 "plain_mc",
                 vec![("property".to_owned(), p.name.as_str().into())],
             );
-            let verdict = match report.verdict {
-                PlainVerdict::Proved => "proved",
-                PlainVerdict::Falsified { .. } => "falsified",
-                PlainVerdict::OutOfCapacity => "out_of_capacity",
-            };
-            ps.record("verdict", verdict);
-            if let PlainVerdict::Falsified { depth } = report.verdict {
-                ps.record("depth", depth);
-            }
-            if let Some(reason) = report.abort {
-                ps.record("abort_reason", reason.as_str());
-            }
-            ps.record("coi_registers", report.coi_registers);
-            ps.record("coi_gates", report.coi_gates);
-            ps.record("steps", report.steps);
-            ps.record("peak_nodes", report.peak_nodes);
+            record_report(&mut ps, report);
         }
     }
     result
 }
 
-fn verify_group_inner(
+/// The plain model checker's one body: decides `properties` on one model
+/// over their union cone of influence with one fixpoint, and returns one
+/// report per property. With `store_dir` set it warm-starts from, and saves
+/// back to, the store entry `key` of the design identified by `design_hash`
+/// (the netlist's structural hash when `None`).
+pub(crate) fn plain_reports(
     netlist: &Netlist,
     properties: &[Property],
     key: &str,
-    options: &GroupOptions,
+    options: &PlainOptions,
+    store_dir: Option<&Path>,
+    design_hash: Option<u64>,
 ) -> Result<Vec<PlainReport>, McError> {
     let start = Instant::now();
-    // Per-property COIs feed the reports (identical to dedicated runs); the
-    // union COI sizes the shared model.
+    // Per-property COIs feed the reports; the union COI sizes the shared
+    // model. A singleton's union cone is its own.
     let member_cois: Vec<Coi> = properties
         .iter()
         .map(|p| Coi::of(netlist, [p.signal]))
         .collect();
-    let union_coi = Coi::of(netlist, properties.iter().map(|p| p.signal));
+    let union_coi = match &member_cois[..] {
+        [only] => only.clone(),
+        _ => Coi::of(netlist, properties.iter().map(|p| p.signal)),
+    };
     let out_of_capacity = |reason, stats: rfn_bdd::BddStats, elapsed| -> Vec<PlainReport> {
         member_cois
             .iter()
@@ -163,7 +163,7 @@ fn verify_group_inner(
                 coi_registers: coi.num_registers(),
                 coi_gates: coi.num_gates(),
                 steps: 0,
-                peak_nodes: options.plain.node_limit(),
+                peak_nodes: options.node_limit(),
                 elapsed,
                 stats,
             })
@@ -173,9 +173,11 @@ fn verify_group_inner(
     let abstraction = Abstraction::from_registers(union_coi.registers().iter().copied());
     let view = abstraction.view(netlist, properties.iter().map(|p| p.signal))?;
     let mut mgr = rfn_bdd::BddManager::new();
-    mgr.set_budget(options.plain.common.budget.clone());
-    let mut reach_opts = options.plain.reach.clone();
-    reach_opts.common = options.plain.common.clone();
+    // The budget's node ceiling is the baseline's capacity bound; install
+    // the budget itself so the model build is governed too.
+    mgr.set_budget(options.common.budget.clone());
+    let mut reach_opts = options.reach.clone();
+    reach_opts.common = options.common.clone();
     let model_opts = crate::ModelOptions {
         cluster_limit: reach_opts.cluster_limit,
         static_order: reach_opts.static_order,
@@ -223,14 +225,16 @@ fn verify_group_inner(
         Err(e) => return Err(e),
     };
 
-    // Warm start: one store entry per group. A missing entry is a cold
-    // start; a corrupt or foreign one fails loudly.
-    let hash = options
-        .design_hash
-        .unwrap_or_else(|| netlist.structural_hash());
-    let saved = match &options.store_dir {
-        Some(dir) => match crate::store::load_store(dir, hash, key)? {
-            Some(store) => crate::store::apply_store_as(&mut model, &store, key, hash)?,
+    // Warm start: one store entry per group, keyed by the design hash, which
+    // only a store reads. A missing entry is a cold start; a corrupt or
+    // foreign one fails loudly.
+    let store = store_dir.map(|dir| {
+        let hash = design_hash.unwrap_or_else(|| netlist.structural_hash());
+        (dir, hash)
+    });
+    let saved = match store {
+        Some((dir, hash)) => match crate::store::load_store(dir, hash, key)? {
+            Some(entry) => crate::store::apply_store_as(&mut model, &entry, key, hash)?,
             None => Vec::new(),
         },
         None => Vec::new(),
@@ -241,43 +245,37 @@ fn verify_group_inner(
     // Persist the group's order and rings for the next run, but only after
     // a conclusive fixpoint: an aborted run's rings may be truncated by the
     // failure and a save error must never destroy the verdicts.
-    if let Some(dir) = &options.store_dir {
+    if let Some((dir, hash)) = store {
         if result.abort.is_none() {
             match crate::store::snapshot_model(&model, key, &result.rings)
-                .map(|mut store| {
-                    store.design_hash = hash;
-                    store
+                .map(|mut entry| {
+                    entry.design_hash = hash;
+                    entry
                 })
-                .and_then(|store| crate::store::save_store(dir, &store))
+                .and_then(|entry| crate::store::save_store(dir, &entry))
             {
                 Ok(_) => {}
-                Err(_) => options
-                    .plain
-                    .common
-                    .trace
-                    .counter("group.store_save_error", 1),
+                Err(_) => options.common.trace.counter("group.store_save_error", 1),
             }
         }
     }
 
     let elapsed = start.elapsed();
-    Ok(properties
+    Ok(result
+        .verdicts
         .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let verdict = match result.verdicts[i] {
-                TargetVerdict::Proved => PlainVerdict::Proved,
-                TargetVerdict::Hit { step } => PlainVerdict::Falsified { depth: step },
-                TargetVerdict::Aborted => PlainVerdict::OutOfCapacity,
+        .zip(&member_cois)
+        .map(|(&verdict, coi)| {
+            let (verdict, abort) = match verdict {
+                ReachVerdict::FixpointProved => (PlainVerdict::Proved, None),
+                ReachVerdict::TargetHit { step } => (PlainVerdict::Falsified { depth: step }, None),
+                ReachVerdict::Aborted => (PlainVerdict::OutOfCapacity, result.abort),
             };
             PlainReport {
                 verdict,
-                abort: match result.verdicts[i] {
-                    TargetVerdict::Aborted => result.abort,
-                    _ => None,
-                },
-                coi_registers: member_cois[i].num_registers(),
-                coi_gates: member_cois[i].num_gates(),
+                abort,
+                coi_registers: coi.num_registers(),
+                coi_gates: coi.num_gates(),
                 steps: result.steps,
                 peak_nodes: result.peak_nodes,
                 elapsed,

@@ -54,10 +54,11 @@ pub use model::{
     ModelOptions, ModelSpec, StateCube, StaticOrder, SymbolicModel, TransitionRelation, VarKind,
     DEFAULT_CLUSTER_LIMIT,
 };
-pub use multi::{forward_reach_multi, forward_reach_multi_warm, MultiReachResult, TargetVerdict};
+pub use multi::{forward_reach_multi, forward_reach_multi_warm};
 pub use options::CommonOptions;
 pub use plain::{verify_plain, PlainOptions, PlainReport, PlainVerdict};
 pub use reach::{
-    forward_reach, forward_reach_warm, AbortReason, ReachOptions, ReachResult, ReachVerdict,
+    forward_reach, forward_reach_warm, AbortReason, MultiReachResult, ReachOptions, ReachResult,
+    ReachVerdict,
 };
 pub use rfn_bdd::{BddStats, StoreError};

@@ -1,16 +1,19 @@
 //! Plain symbolic model checking with cone-of-influence reduction: the
 //! baseline RFN is compared against in Table 1 of the paper.
+//!
+//! This module holds the options, verdicts and reports, and the
+//! one-property entry point [`verify_plain`]. The model checker's body is
+//! the group body in `group.rs`: a single property is a group of one.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rfn_bdd::BddStats;
 use rfn_govern::Budget;
-use rfn_netlist::{Abstraction, Coi, Netlist, Property};
-use rfn_trace::TraceCtx;
+use rfn_netlist::{Netlist, Property};
+use rfn_trace::{Span, TraceCtx};
 
-use crate::{
-    forward_reach, CommonOptions, McError, ModelSpec, ReachOptions, ReachVerdict, SymbolicModel,
-};
+use crate::group::plain_reports;
+use crate::{CommonOptions, McError, ReachOptions};
 
 /// Default live-node ceiling of the plain engine; exceeding it is the
 /// baseline's failure mode in Table 1.
@@ -135,7 +138,9 @@ pub struct PlainReport {
 /// Runs BDD-based symbolic model checking on the *whole cone of influence*
 /// of the property — no abstraction. On large designs this is expected to
 /// exhaust its node limit; that expected failure is what Table 1's
-/// comparison demonstrates.
+/// comparison demonstrates. The property runs through the group body of
+/// [`verify_plain_group`](crate::verify_plain_group) as a group of one,
+/// without a warm-start store, inside a `plain_mc` span.
 ///
 /// # Errors
 ///
@@ -150,106 +155,38 @@ pub fn verify_plain(
         "plain_mc",
         vec![("property".to_owned(), property.name.as_str().into())],
     );
-    let result = verify_plain_inner(netlist, property, options);
-    if let Ok(report) = &result {
-        let verdict = match report.verdict {
-            PlainVerdict::Proved => "proved",
-            PlainVerdict::Falsified { .. } => "falsified",
-            PlainVerdict::OutOfCapacity => "out_of_capacity",
-        };
-        span.record("verdict", verdict);
-        if let PlainVerdict::Falsified { depth } = report.verdict {
-            span.record("depth", depth);
-        }
-        if let Some(reason) = report.abort {
-            span.record("abort_reason", reason.as_str());
-        }
-        span.record("coi_registers", report.coi_registers);
-        span.record("coi_gates", report.coi_gates);
-        span.record("steps", report.steps);
-        span.record("peak_nodes", report.peak_nodes);
-    }
-    result
+    let [report] = plain_reports(
+        netlist,
+        std::slice::from_ref(property),
+        "",
+        options,
+        None,
+        None,
+    )?
+    .try_into()
+    .expect("one report per property");
+    record_report(&mut span, &report);
+    Ok(report)
 }
 
-fn verify_plain_inner(
-    netlist: &Netlist,
-    property: &Property,
-    options: &PlainOptions,
-) -> Result<PlainReport, McError> {
-    let start = Instant::now();
-    let coi = Coi::of(netlist, [property.signal]);
-    let abstraction = Abstraction::from_registers(coi.registers().iter().copied());
-    let view = abstraction.view(netlist, [property.signal])?;
-    let mut mgr = rfn_bdd::BddManager::new();
-    // The budget's node ceiling is the baseline's capacity bound; install
-    // the budget itself so the model build is governed too.
-    mgr.set_budget(options.common.budget.clone());
-    let mut reach_opts = options.reach.clone();
-    reach_opts.common = options.common.clone();
-
-    let model_opts = crate::ModelOptions {
-        cluster_limit: reach_opts.cluster_limit,
-        static_order: reach_opts.static_order,
+/// Records a report's verdict and sizes on its `plain_mc` span exit.
+pub(crate) fn record_report(span: &mut Span, report: &PlainReport) {
+    let verdict = match report.verdict {
+        PlainVerdict::Proved => "proved",
+        PlainVerdict::Falsified { .. } => "falsified",
+        PlainVerdict::OutOfCapacity => "out_of_capacity",
     };
-    let build = SymbolicModel::with_options(netlist, ModelSpec::from_view(&view), mgr, model_opts);
-    let mut model = match build {
-        Ok(m) => m,
-        Err(McError::Bdd(e)) => {
-            // Could not even build the transition relation.
-            return Ok(PlainReport {
-                verdict: PlainVerdict::OutOfCapacity,
-                abort: Some(crate::AbortReason::of(&e)),
-                coi_registers: coi.num_registers(),
-                coi_gates: coi.num_gates(),
-                steps: 0,
-                peak_nodes: options.node_limit(),
-                elapsed: start.elapsed(),
-                stats: BddStats::default(),
-            });
-        }
-        Err(e) => return Err(e),
-    };
-    let target = (|| -> Result<rfn_bdd::Bdd, McError> {
-        let sig = model.signal_bdd(property.signal)?;
-        if property.value {
-            Ok(sig)
-        } else {
-            Ok(model.manager().not(sig)?)
-        }
-    })();
-    let target = match target {
-        Ok(t) => t,
-        Err(McError::Bdd(e)) => {
-            return Ok(PlainReport {
-                verdict: PlainVerdict::OutOfCapacity,
-                abort: Some(crate::AbortReason::of(&e)),
-                coi_registers: coi.num_registers(),
-                coi_gates: coi.num_gates(),
-                steps: 0,
-                peak_nodes: options.node_limit(),
-                elapsed: start.elapsed(),
-                stats: model.manager_ref().stats(),
-            });
-        }
-        Err(e) => return Err(e),
-    };
-    let result = forward_reach(&mut model, target, &reach_opts)?;
-    let verdict = match result.verdict {
-        ReachVerdict::FixpointProved => PlainVerdict::Proved,
-        ReachVerdict::TargetHit { step } => PlainVerdict::Falsified { depth: step },
-        ReachVerdict::Aborted => PlainVerdict::OutOfCapacity,
-    };
-    Ok(PlainReport {
-        verdict,
-        abort: result.abort,
-        coi_registers: coi.num_registers(),
-        coi_gates: coi.num_gates(),
-        steps: result.steps,
-        peak_nodes: result.peak_nodes,
-        elapsed: start.elapsed(),
-        stats: result.stats,
-    })
+    span.record("verdict", verdict);
+    if let PlainVerdict::Falsified { depth } = report.verdict {
+        span.record("depth", depth);
+    }
+    if let Some(reason) = report.abort {
+        span.record("abort_reason", reason.as_str());
+    }
+    span.record("coi_registers", report.coi_registers);
+    span.record("coi_gates", report.coi_gates);
+    span.record("steps", report.steps);
+    span.record("peak_nodes", report.peak_nodes);
 }
 
 #[cfg(test)]

@@ -1,11 +1,15 @@
-//! Forward reachability with onion rings.
+//! Forward reachability with onion rings: the crate's one fixpoint loop,
+//! which tests every ring against a slice of targets. [`forward_reach`]
+//! runs it on one target and
+//! [`forward_reach_multi`](crate::forward_reach_multi) on a whole group, so
+//! a single property is a group of one.
 
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use rfn_bdd::{Bdd, BddError, BddStats, DoublingTrigger};
 use rfn_govern::{Budget, Exhaustion, GovPhase};
-use rfn_trace::TraceCtx;
+use rfn_trace::{Span, TraceCtx};
 
 use crate::{CommonOptions, McError, SymbolicModel};
 
@@ -28,10 +32,12 @@ pub struct ReachOptions {
     pub reorder_threshold: usize,
     /// The budget and trace context shared with every other engine (see
     /// [`CommonOptions`]). The budget governs the fixpoint — wall-clock
-    /// deadline (plus an optional [`GovPhase::Reach`] quota), cancellation,
-    /// node and memory ceilings — and is also installed on the model's BDD
-    /// manager for the duration of the call, so exhaustion is detected
-    /// *inside* long-running image operations, not just between steps.
+    /// deadline (plus an optional
+    /// [`GovPhase::Reach`](rfn_govern::GovPhase::Reach) quota),
+    /// cancellation, node and memory ceilings — and is also installed on the
+    /// model's BDD manager for the duration of the call, so exhaustion is
+    /// detected *inside* long-running image operations, not just between
+    /// steps.
     ///
     /// The legacy `time_limit` knob is a view over the budget: see
     /// [`ReachOptions::with_time_limit`] / [`ReachOptions::time_limit`].
@@ -161,7 +167,7 @@ impl ReachOptions {
     }
 }
 
-/// How a reachability run ended.
+/// How a reachability run ended for one target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReachVerdict {
     /// The fixpoint was reached without touching a target state: the
@@ -173,7 +179,8 @@ pub enum ReachVerdict {
         /// Number of image steps to the first target intersection.
         step: usize,
     },
-    /// A resource limit (nodes, steps or time) was exceeded.
+    /// A resource limit (nodes, steps or time) was exceeded while the
+    /// target was still pending.
     Aborted,
 }
 
@@ -271,9 +278,35 @@ pub struct ReachResult {
     pub stats: BddStats,
 }
 
+/// Result of [`forward_reach_multi`](crate::forward_reach_multi): one entry
+/// per input target, plus the shared fixpoint artifacts.
+#[derive(Clone, Debug)]
+pub struct MultiReachResult {
+    /// Outcomes, indexed like the input target slice. A target the run
+    /// never decided (it aborted while the target was pending) is
+    /// [`ReachVerdict::Aborted`].
+    pub verdicts: Vec<ReachVerdict>,
+    /// Why the run aborted; `None` unless some verdict is
+    /// [`ReachVerdict::Aborted`].
+    pub abort: Option<AbortReason>,
+    /// Onion rings shared by every target (`rings[0]` is the initial set).
+    /// The sequence stops at the last ring the run needed: the ring that
+    /// retired the final pending target, or the full fixpoint.
+    pub rings: Vec<Bdd>,
+    /// Union of all rings.
+    pub reached: Bdd,
+    /// Number of image computations performed.
+    pub steps: usize,
+    /// Peak live node count observed.
+    pub peak_nodes: usize,
+    /// Kernel performance counters of the manager at the end of the run.
+    pub stats: BddStats,
+}
+
 /// Computes a forward fixpoint from the model's initial states, stopping
 /// early if `targets` is reached (the on-the-fly check of the paper's Step
-/// 2).
+/// 2). This is [`forward_reach_multi`](crate::forward_reach_multi) on a
+/// one-target slice, traced as a `reach` span.
 ///
 /// `targets` may involve input variables (combinational watchdog outputs): a
 /// ring "hits" if some state in it asserts the target under *some* input.
@@ -310,75 +343,106 @@ pub fn forward_reach_warm(
     options: &ReachOptions,
     saved_rings: &[Bdd],
 ) -> Result<ReachResult, McError> {
-    // Everything held across kernel calls inside the loop — targets, the
-    // model's transition partitions and signal cache, rings, the reached
-    // set — is registered in the manager's protected root set so the
-    // automatic collector cannot reclaim it. The log makes the protection
-    // exactly reversible on every exit path, and the collector is switched
-    // off again on return so callers may hold unprotected handles as before.
     let mut span = options.common.trace.span("reach");
+    let r = reach_targets(model, &[targets], options, saved_rings)?;
+    let verdict = r.verdicts[0];
+    span.record(
+        "verdict",
+        match verdict {
+            ReachVerdict::FixpointProved => "fixpoint",
+            ReachVerdict::TargetHit { .. } => "target_hit",
+            ReachVerdict::Aborted => "aborted",
+        },
+    );
+    if let ReachVerdict::TargetHit { step } = verdict {
+        span.record("hit_step", step);
+    }
+    record_run(&mut span, model, &r, saved_rings.len(), options);
+    Ok(ReachResult {
+        verdict,
+        abort: r.abort,
+        rings: r.rings,
+        reached: r.reached,
+        steps: r.steps,
+        peak_nodes: r.peak_nodes,
+        stats: r.stats,
+    })
+}
+
+/// Runs the fixpoint loop on `targets` under the run's protection
+/// discipline. Everything held across kernel calls inside the loop —
+/// targets, the model's transition partitions and signal cache, rings, the
+/// reached set — is registered in the manager's protected root set so the
+/// automatic collector cannot reclaim it. The log makes the protection
+/// exactly reversible on every exit path, and the collector is switched off
+/// again on return so callers may hold unprotected handles as before.
+pub(crate) fn reach_targets(
+    model: &mut SymbolicModel<'_>,
+    targets: &[Bdd],
+    options: &ReachOptions,
+    saved_rings: &[Bdd],
+) -> Result<MultiReachResult, McError> {
     // Install the governing budget on the kernel so exhaustion (cancel,
     // deadline, memory, node ceiling) is detected inside image operations.
     // The budget stays installed after the call: subsequent phases of the
     // same run (hybrid trace extraction) share it by design.
     model.manager().set_budget(options.common.budget.clone());
     let mut protect_log: Vec<Bdd> = model.persistent_roots();
-    protect_log.push(targets);
+    protect_log.extend(targets.iter().copied());
     for &b in &protect_log {
         model.manager().protect(b);
     }
     if options.auto_gc {
         model.manager().set_auto_gc(true);
     }
-    let result = reach_loop(model, targets, options, &mut protect_log, saved_rings);
+    let result = fixpoint_loop(model, targets, options, &mut protect_log, saved_rings);
     model.manager().set_auto_gc(false);
     for &b in &protect_log {
         model.manager().unprotect(b);
     }
-    let result = result.map(|mut r| {
+    result.map(|mut r| {
         r.stats = model.manager_ref().stats();
         r
-    });
-    if let Ok(r) = &result {
-        let verdict = match r.verdict {
-            ReachVerdict::FixpointProved => "fixpoint",
-            ReachVerdict::TargetHit { .. } => "target_hit",
-            ReachVerdict::Aborted => "aborted",
-        };
-        span.record("verdict", verdict);
-        if let ReachVerdict::TargetHit { step } = r.verdict {
-            span.record("hit_step", step);
-        }
-        if let Some(reason) = r.abort {
-            span.record("abort_reason", reason.as_str());
-        }
-        span.record("steps", r.steps);
-        span.record("rings", r.rings.len());
-        span.record("clusters", model.transition().num_clusters());
-        span.record("peak_nodes", r.peak_nodes);
-        // Sift bookkeeping and warm-start provenance appear only when the
-        // feature actually ran, keeping legacy traces byte-identical.
-        if r.stats.sift_runs > 0 {
-            span.record("sift.runs", r.stats.sift_runs);
-            span.record("sift.unprofitable", r.stats.unprofitable_sifts);
-            span.record("sift.nodes_shrunk", r.stats.sift_nodes_shrunk);
-        }
-        if !saved_rings.is_empty() {
-            span.record("warm.rings", saved_rings.len());
-        }
-        record_budget(&mut span, &options.common.budget, r.peak_nodes);
-        options
-            .common
-            .trace
-            .counter("bdd.peak_nodes", r.stats.peak_nodes as u64);
+    })
+}
+
+/// Records the exit fields every reachability span shares, after the
+/// span's own verdict fields, and the `bdd.peak_nodes` counter.
+pub(crate) fn record_run(
+    span: &mut Span,
+    model: &SymbolicModel<'_>,
+    r: &MultiReachResult,
+    warm_rings: usize,
+    options: &ReachOptions,
+) {
+    if let Some(reason) = r.abort {
+        span.record("abort_reason", reason.as_str());
     }
-    result
+    span.record("steps", r.steps);
+    span.record("rings", r.rings.len());
+    span.record("clusters", model.transition().num_clusters());
+    span.record("peak_nodes", r.peak_nodes);
+    // Sift bookkeeping and warm-start provenance appear only when the
+    // feature actually ran, keeping legacy traces byte-identical.
+    if r.stats.sift_runs > 0 {
+        span.record("sift.runs", r.stats.sift_runs);
+        span.record("sift.unprofitable", r.stats.unprofitable_sifts);
+        span.record("sift.nodes_shrunk", r.stats.sift_nodes_shrunk);
+    }
+    if warm_rings > 0 {
+        span.record("warm.rings", warm_rings);
+    }
+    record_budget(span, &options.common.budget, r.peak_nodes);
+    options
+        .common
+        .trace
+        .counter("bdd.peak_nodes", r.stats.peak_nodes as u64);
 }
 
 /// Records `budget.*` fields on an engine span: the wall-clock remaining
 /// (only when a deadline is configured, keeping traces deterministic for
 /// unbudgeted runs) and the node headroom left under the ceiling.
-pub(crate) fn record_budget(span: &mut rfn_trace::Span, budget: &Budget, peak_nodes: usize) {
+fn record_budget(span: &mut Span, budget: &Budget, peak_nodes: usize) {
     if let Some(remaining) = budget.remaining() {
         span.record("budget.remaining_ms", remaining.as_millis() as u64);
     }
@@ -390,20 +454,74 @@ pub(crate) fn record_budget(span: &mut rfn_trace::Span, budget: &Budget, peak_no
     }
 }
 
-fn reach_loop(
+/// Book-keeping for the still-pending targets of one multi-target run.
+struct Pending {
+    verdicts: Vec<ReachVerdict>,
+    open: Vec<usize>,
+}
+
+impl Pending {
+    fn new(n: usize) -> Self {
+        Pending {
+            // Until decided otherwise every target counts as pending-abort;
+            // hits and the final fixpoint overwrite this.
+            verdicts: vec![ReachVerdict::Aborted; n],
+            open: (0..n).collect(),
+        }
+    }
+
+    /// Tests the ring against every pending target in index order, retiring
+    /// hits at `step`. Returns `Err` on the first kernel error.
+    fn check_ring(
+        &mut self,
+        model: &mut SymbolicModel<'_>,
+        targets: &[Bdd],
+        ring: Bdd,
+        step: usize,
+    ) -> Result<(), BddError> {
+        let zero = model.manager_ref().zero();
+        let mut still_open = Vec::with_capacity(self.open.len());
+        for &t in &self.open {
+            if model.manager().and(ring, targets[t])? != zero {
+                self.verdicts[t] = ReachVerdict::TargetHit { step };
+            } else {
+                still_open.push(t);
+            }
+        }
+        self.open = still_open;
+        Ok(())
+    }
+
+    fn all_hit(&self) -> bool {
+        // With zero targets there is nothing to hit: run to the fixpoint,
+        // as a one-target run on the constant-false target does.
+        !self.verdicts.is_empty() && self.open.is_empty()
+    }
+
+    fn prove_rest(&mut self) {
+        for &t in &self.open {
+            self.verdicts[t] = ReachVerdict::FixpointProved;
+        }
+        self.open.clear();
+    }
+}
+
+/// The fixpoint proper, run by [`reach_targets`] with its protection log.
+fn fixpoint_loop(
     model: &mut SymbolicModel<'_>,
-    targets: Bdd,
+    targets: &[Bdd],
     options: &ReachOptions,
     protect_log: &mut Vec<Bdd>,
     saved_rings: &[Bdd],
-) -> Result<ReachResult, McError> {
+) -> Result<MultiReachResult, McError> {
     let deadline = options.common.budget.deadline_for(GovPhase::Reach);
     let mut trigger = options
         .reorder
         .then(|| DoublingTrigger::new(options.reorder_threshold));
+    let mut pending = Pending::new(targets.len());
     let init = match model.init_states() {
         Ok(b) => b,
-        Err(e) => return Ok(aborted(model, vec![], 0, AbortReason::of(&e))),
+        Err(e) => return Ok(aborted(model, pending, vec![], 0, AbortReason::of(&e))),
     };
     if let Some(&first) = saved_rings.first() {
         // Canonicity makes this a handle comparison: a warm-start whose
@@ -434,7 +552,7 @@ fn reach_loop(
     for &r in &rings[1..] {
         reached = match model.manager().or(reached, r) {
             Ok(b) => b,
-            Err(e) => return Ok(aborted(model, rings, 0, AbortReason::of(&e))),
+            Err(e) => return Ok(aborted(model, pending, rings, 0, AbortReason::of(&e))),
         };
     }
     model.manager().protect(reached);
@@ -443,33 +561,28 @@ fn reach_loop(
     let mut steps = rings.len() - 1;
     let mut peak = model.manager_ref().num_nodes();
 
-    let hit = |model: &mut SymbolicModel<'_>, set: Bdd| -> Result<bool, BddError> {
-        Ok(model.manager().and(set, targets)? != model.manager_ref().zero())
-    };
-
-    // On a cold start this is the classic step-0 check; on a warm start
-    // every adopted ring is re-checked in BFS order so the hit depth is
-    // identical to what the cold run would have reported.
+    // Cold start: the classic step-0 check against every target. Warm
+    // start: every adopted ring is re-checked in BFS order so retirement
+    // depths are identical to a cold run's.
     for step in 0..rings.len() {
-        match hit(model, rings[step]) {
-            Ok(true) => {
-                rings.truncate(step + 1);
-                let reached = match or_all(model, &rings) {
-                    Ok(b) => b,
-                    Err(e) => return Ok(aborted(model, rings, step, AbortReason::of(&e))),
-                };
-                return Ok(ReachResult {
-                    verdict: ReachVerdict::TargetHit { step },
-                    abort: None,
-                    rings,
-                    reached,
-                    steps: step,
-                    peak_nodes: peak,
-                    stats: BddStats::default(),
-                });
-            }
-            Ok(false) => {}
-            Err(e) => return Ok(aborted(model, rings, steps, AbortReason::of(&e))),
+        if let Err(e) = pending.check_ring(model, targets, rings[step], step) {
+            return Ok(aborted(model, pending, rings, steps, AbortReason::of(&e)));
+        }
+        if pending.all_hit() {
+            rings.truncate(step + 1);
+            let reached = match or_all(model, &rings) {
+                Ok(b) => b,
+                Err(e) => return Ok(aborted(model, pending, rings, step, AbortReason::of(&e))),
+            };
+            return Ok(MultiReachResult {
+                verdicts: pending.verdicts,
+                abort: None,
+                rings,
+                reached,
+                steps: step,
+                peak_nodes: peak,
+                stats: BddStats::default(),
+            });
         }
     }
 
@@ -477,6 +590,7 @@ fn reach_loop(
         if steps >= options.max_steps {
             return Ok(aborted_with(
                 model,
+                pending,
                 rings,
                 reached,
                 steps,
@@ -487,6 +601,7 @@ fn reach_loop(
         if options.common.budget.is_cancelled() {
             return Ok(aborted_with(
                 model,
+                pending,
                 rings,
                 reached,
                 steps,
@@ -498,6 +613,7 @@ fn reach_loop(
             if Instant::now() > d {
                 return Ok(aborted_with(
                     model,
+                    pending,
                     rings,
                     reached,
                     steps,
@@ -513,6 +629,7 @@ fn reach_loop(
         {
             return Ok(aborted_with(
                 model,
+                pending,
                 rings,
                 reached,
                 steps,
@@ -530,6 +647,7 @@ fn reach_loop(
                 Err(e) => {
                     return Ok(aborted_with(
                         model,
+                        pending,
                         rings,
                         reached,
                         steps,
@@ -557,6 +675,7 @@ fn reach_loop(
             Err(e) => {
                 return Ok(aborted_with(
                     model,
+                    pending,
                     rings,
                     reached,
                     steps,
@@ -571,8 +690,9 @@ fn reach_loop(
             .trace
             .counter("reach.image_nodes", model.manager_ref().num_nodes() as u64);
         if new == model.manager_ref().zero() {
-            return Ok(ReachResult {
-                verdict: ReachVerdict::FixpointProved,
+            pending.prove_rest();
+            return Ok(MultiReachResult {
+                verdicts: pending.verdicts,
                 abort: None,
                 rings,
                 reached,
@@ -588,6 +708,7 @@ fn reach_loop(
             Err(e) => {
                 return Ok(aborted_with(
                     model,
+                    pending,
                     rings,
                     reached,
                     steps,
@@ -600,46 +721,88 @@ fn reach_loop(
         protect_log.push(reached);
         rings.push(new);
         peak = peak.max(model.manager_ref().num_nodes());
-        match hit(model, new) {
-            Ok(true) => {
-                return Ok(ReachResult {
-                    verdict: ReachVerdict::TargetHit { step: steps },
-                    abort: None,
-                    rings,
-                    reached,
-                    steps,
-                    peak_nodes: peak,
-                    stats: BddStats::default(),
-                })
-            }
-            Ok(false) => {}
-            Err(e) => {
-                return Ok(aborted_with(
-                    model,
-                    rings,
-                    reached,
-                    steps,
-                    peak,
-                    AbortReason::of(&e),
-                ))
-            }
+        if let Err(e) = pending.check_ring(model, targets, new, steps) {
+            return Ok(aborted_with(
+                model,
+                pending,
+                rings,
+                reached,
+                steps,
+                peak,
+                AbortReason::of(&e),
+            ));
+        }
+        if pending.all_hit() {
+            return Ok(MultiReachResult {
+                verdicts: pending.verdicts,
+                abort: None,
+                rings,
+                reached,
+                steps,
+                peak_nodes: peak,
+                stats: BddStats::default(),
+            });
         }
         frontier = new;
         if let Some(trigger) = &mut trigger {
-            let held = rings.iter().copied().chain([reached, targets, frontier]);
+            let held = rings
+                .iter()
+                .chain(targets)
+                .copied()
+                .chain([reached, frontier]);
             reorder_step(model, trigger, held, options);
         }
     }
 }
 
-/// The reorder step both reach loops run after each image when
+fn aborted(
+    model: &SymbolicModel<'_>,
+    pending: Pending,
+    rings: Vec<Bdd>,
+    steps: usize,
+    reason: AbortReason,
+) -> MultiReachResult {
+    let zero = model.manager_ref().zero();
+    MultiReachResult {
+        verdicts: pending.verdicts,
+        abort: Some(reason),
+        reached: rings.first().copied().unwrap_or(zero),
+        rings,
+        steps,
+        peak_nodes: model.manager_ref().num_nodes(),
+        stats: BddStats::default(),
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn aborted_with(
+    model: &SymbolicModel<'_>,
+    pending: Pending,
+    rings: Vec<Bdd>,
+    reached: Bdd,
+    steps: usize,
+    peak: usize,
+    reason: AbortReason,
+) -> MultiReachResult {
+    MultiReachResult {
+        verdicts: pending.verdicts,
+        abort: Some(reason),
+        rings,
+        reached,
+        steps,
+        peak_nodes: peak.max(model.manager_ref().num_nodes()),
+        stats: BddStats::default(),
+    }
+}
+
+/// The reorder step the reach loop runs after each image when
 /// [`ReachOptions::reorder`] is set (see
 /// [`BddManager::scheduled_sift`](rfn_bdd::BddManager::scheduled_sift)):
 /// the trigger is asked at the allocated node count, and only if it says
 /// yes does a collection with the model's roots plus `held` let it decide
 /// at the live count. A pass that runs is traced as a `sift` point with the
 /// live counts around it and the trigger floor.
-pub(crate) fn reorder_step(
+fn reorder_step(
     model: &mut SymbolicModel<'_>,
     trigger: &mut DoublingTrigger,
     held: impl IntoIterator<Item = Bdd>,
@@ -665,7 +828,7 @@ pub(crate) fn reorder_step(
 
 /// Union of a ring sequence (used when a warm-start scan truncates the
 /// adopted rings at a target hit).
-pub(crate) fn or_all(model: &mut SymbolicModel<'_>, rings: &[Bdd]) -> Result<Bdd, BddError> {
+fn or_all(model: &mut SymbolicModel<'_>, rings: &[Bdd]) -> Result<Bdd, BddError> {
     let mut acc = model.manager_ref().zero();
     for &r in rings {
         acc = model.manager().or(acc, r)?;
@@ -679,7 +842,7 @@ pub(crate) fn or_all(model: &mut SymbolicModel<'_>, rings: &[Bdd]) -> Result<Bdd
 /// result always lies between the frontier and the reached set, which makes
 /// its image produce exactly the same new states. Returns the smaller of the
 /// minimized and original frontiers.
-pub(crate) fn simplify_frontier(
+fn simplify_frontier(
     model: &mut SymbolicModel<'_>,
     frontier: Bdd,
     reached: Bdd,
@@ -692,43 +855,6 @@ pub(crate) fn simplify_frontier(
         Ok(min)
     } else {
         Ok(frontier)
-    }
-}
-
-fn aborted(
-    model: &SymbolicModel<'_>,
-    rings: Vec<Bdd>,
-    steps: usize,
-    reason: AbortReason,
-) -> ReachResult {
-    let zero = model.manager_ref().zero();
-    ReachResult {
-        verdict: ReachVerdict::Aborted,
-        abort: Some(reason),
-        reached: rings.first().copied().unwrap_or(zero),
-        rings,
-        steps,
-        peak_nodes: model.manager_ref().num_nodes(),
-        stats: BddStats::default(),
-    }
-}
-
-fn aborted_with(
-    model: &SymbolicModel<'_>,
-    rings: Vec<Bdd>,
-    reached: Bdd,
-    steps: usize,
-    peak: usize,
-    reason: AbortReason,
-) -> ReachResult {
-    ReachResult {
-        verdict: ReachVerdict::Aborted,
-        abort: Some(reason),
-        rings,
-        reached,
-        steps,
-        peak_nodes: peak.max(model.manager_ref().num_nodes()),
-        stats: BddStats::default(),
     }
 }
 

@@ -3,7 +3,10 @@
 use std::collections::HashSet;
 
 use proptest::prelude::*;
-use rfn_mc::{forward_reach, ModelOptions, ModelSpec, ReachOptions, ReachVerdict, SymbolicModel};
+use rfn_mc::{
+    forward_reach, forward_reach_multi, ModelOptions, ModelSpec, ReachOptions, ReachVerdict,
+    SymbolicModel,
+};
 use rfn_netlist::{Abstraction, Cube, GateOp, Netlist, SignalId};
 use rfn_sim::Simulator;
 
@@ -171,6 +174,28 @@ proptest! {
         let tb = model.cube_to_bdd(&cube).unwrap();
         let result = forward_reach(&mut model, tb, &ReachOptions::default()).unwrap();
         prop_assert_eq!(result.verdict, ReachVerdict::TargetHit { step: expected_depth });
+
+        // One run over every register valuation at once: each is hit at its
+        // explicit BFS depth, or proved if explicit BFS never reaches it.
+        let mut model = SymbolicModel::new(&n, ModelSpec::from_view(&view)).unwrap();
+        let targets: Vec<_> = (0..1u32 << regs.len())
+            .map(|bits| {
+                let cube: Cube = regs
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &r)| (r, bits & (1 << k) != 0))
+                    .collect();
+                model.cube_to_bdd(&cube).unwrap()
+            })
+            .collect();
+        let multi = forward_reach_multi(&mut model, &targets, &ReachOptions::default()).unwrap();
+        for (bits, &verdict) in (0u32..).zip(&multi.verdicts) {
+            let expected = match depth_of.get(&bits) {
+                Some(&step) => ReachVerdict::TargetHit { step },
+                None => ReachVerdict::FixpointProved,
+            };
+            prop_assert_eq!(verdict, expected, "valuation {:#b}", bits);
+        }
     }
 
     /// Clustered and linear relational products — with frontier minimization
